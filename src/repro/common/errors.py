@@ -32,5 +32,19 @@ class LivelockError(SimulationError):
         self.report = report
 
 
+class ConservationError(SimulationError):
+    """Raised when a run breaks one of the engine's conservation laws.
+
+    ``law`` names the broken law (for example ``"core-cycles"``), ``lhs`` and
+    ``rhs`` are the two sides that should have been equal.
+    """
+
+    def __init__(self, law: str, detail: str, lhs: int, rhs: int) -> None:
+        super().__init__(f"conservation law {law!r} broken: {detail} ({lhs} != {rhs})")
+        self.law = law
+        self.lhs = lhs
+        self.rhs = rhs
+
+
 class TraceError(ReproError):
     """Raised when a memory trace is malformed or inconsistent."""

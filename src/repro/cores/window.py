@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.trace.threadblock import ThreadBlock
 
@@ -71,14 +71,3 @@ class InstructionWindow:
         self.pending_request = None
         self.stat_blocks_completed += 1
         return finished
-
-
-@dataclass(slots=True)
-class WindowIssueResult:
-    """What happened when the core tried to issue from a window this cycle."""
-
-    issued: bool = False
-    blocked_on_compute: bool = False
-    blocked_on_memory: bool = False
-    completed_block: ThreadBlock | None = None
-    extra: dict = field(default_factory=dict)

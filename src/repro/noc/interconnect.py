@@ -47,6 +47,9 @@ class Interconnect:
         # Requests in transit or staged per slice, used for O(1) back-pressure checks.
         self._slice_load: list[int] = [0] * num_slices
         self._slice_load_limit = STAGING_DEPTH + config.request_latency
+        #: Per slice, the wake callbacks of sleeping cores whose pending request
+        #: targets it; called when the slice's port next takes a staged request.
+        self._waiters: list[list[Callable[[], None]]] = [[] for _ in range(num_slices)]
         self._seq = 0
 
         # statistics
@@ -80,6 +83,12 @@ class Interconnect:
         self._seq += 1
         self.requests_sent += 1
         return True
+
+    def add_waiter(self, addr: int, wake: Callable[[], None]) -> None:
+        """Call ``wake`` once the port of ``addr``'s slice returns a credit
+        (takes a staged request), the only event that can end its back-pressure."""
+
+        self._waiters[self.address_map.slice_of(addr)].append(wake)
 
     # -- response path ------------------------------------------------------------------
     def send_response(self, resp: MemResponse, cycle: int, extra_delay: int = 0) -> None:
@@ -120,8 +129,14 @@ class Interconnect:
                 if not sink(req, cycle):
                     break
                 staging.popleft()
-                self._slice_load[slice_id] -= 1
                 accepted += 1
+            if accepted:
+                self._slice_load[slice_id] -= accepted
+                waiters = self._waiters[slice_id]
+                if waiters:
+                    for wake in waiters:
+                        wake()
+                    waiters.clear()
 
         # Responses are never back-pressured.
         while self._resp_in_flight and self._resp_in_flight[0][0] <= cycle:
@@ -143,13 +158,3 @@ class Interconnect:
 
     def has_work(self) -> bool:
         return bool(self._req_in_flight or self._resp_in_flight) or any(self._staging)
-
-    def next_event_cycle(self) -> int | None:
-        candidates = []
-        if self._req_in_flight:
-            candidates.append(self._req_in_flight[0][0])
-        if self._resp_in_flight:
-            candidates.append(self._resp_in_flight[0][0])
-        if any(self._staging):
-            return None  # staged requests retry every cycle (waiting on queue space)
-        return min(candidates) if candidates else None

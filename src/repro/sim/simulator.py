@@ -8,7 +8,7 @@ paper reports.
 
 from __future__ import annotations
 
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, ConservationError
 from repro.config.policies import PolicyConfig
 from repro.config.system import SystemConfig
 from repro.config.workload import WorkloadConfig
@@ -60,6 +60,8 @@ class Simulator:
     def _collect(self, cycles: int, status: str = "completed") -> SimResult:
         system = self.system
         cfg = self.system_config
+        for core in system.cores:
+            core.settle(cycles)
         core_results = tuple(
             CoreResult(
                 core_id=core.core_id,
@@ -73,7 +75,7 @@ class Simulator:
             )
             for core in system.cores
         )
-        return SimResult(
+        result = SimResult(
             label=self.label,
             workload=self.workload_name,
             cycles=cycles,
@@ -95,6 +97,57 @@ class Simulator:
                 "arbitration": self.policy.arbitration.value,
             },
         )
+        check_conservation(result, system)
+        return result
+
+
+def _law(law: str, detail: str, lhs: int, rhs: int) -> None:
+    if lhs != rhs:
+        raise ConservationError(law, detail, lhs, rhs)
+
+
+def check_conservation(result: SimResult, system: SimulatedSystem) -> None:
+    """Raise :class:`ConservationError` naming the first law ``result`` breaks.
+
+    Every run: each core spends every cycle in exactly one of the active,
+    compute, memory-stall and idle states.  Completed runs also drained every
+    request: each one the LLC accepted was looked up once, each miss merged
+    into or allocated one MSHR entry, each allocation read DRAM once, each NoC
+    request got one response, and each issued trace entry was an L1 hit, a
+    NoC request or a pure-compute bubble.
+    """
+
+    for core in system.cores:
+        _law(
+            "core-cycles",
+            f"core {core.core_id}: active + compute + mem_stall + idle == cycles",
+            core.stat_active_cycles
+            + core.stat_compute_cycles
+            + core.stat_mem_stall_cycles
+            + core.stat_idle_cycles,
+            result.cycles,
+        )
+    if not result.completed:
+        return
+    llc = result.llc
+    _law("llc-lookups", "requests_accepted == hits + misses",
+         llc.requests_accepted, llc.hits + llc.misses)
+    _law("llc-misses", "misses == mshr_merges + mshr_allocations",
+         llc.misses, llc.mshr_merges + llc.mshr_allocations)
+    _law("dram-reads", "dram.reads == mshr_allocations",
+         result.dram.reads, llc.mshr_allocations)
+    _law("noc-responses", "noc_responses == noc_requests",
+         result.noc_responses, result.noc_requests)
+    _law("noc-requests", "noc_requests == requests_accepted",
+         result.noc_requests, llc.requests_accepted)
+    issued = result.total_requests_issued
+    served = sum(core.l1_hits for core in result.cores) + result.noc_requests
+    if issued != served:
+        # Pure-compute trace entries issue without a request; the generated
+        # traces have none, so count them only when they can matter.
+        served += sum(len(b.entries) - b.num_accesses for b in system.trace.blocks)
+    _law("core-issues", "total_requests_issued == l1_hits + noc_requests + bubbles",
+         issued, served)
 
 
 def simulate(

@@ -61,6 +61,7 @@ class SimulatedSystem:
                 l1=L1Cache(system.l1, core_id=i),
                 request_sink=self.noc.send_request,
                 scheduler=self.scheduler,
+                interconnect=self.noc,
             )
             for i in range(system.core.num_cores)
         ]
@@ -91,7 +92,9 @@ class SimulatedSystem:
         self.llc.tick(cycle)
         self.noc.tick(cycle, self._slice_sinks, self._core_sinks)
         for core in self.cores:
-            core.tick(cycle)
+            # Sleeping cores would only bump a stall counter (see VectorCore).
+            if not core.asleep:
+                core.tick(cycle)
         self.throttle.tick(cycle)
 
     # -- completion -----------------------------------------------------------------------------

@@ -4,6 +4,8 @@ A controller observes the cores and the LLC at its own sampling cadence and
 adjusts each core's ``max_running_blocks`` (the "maximum running thread
 blocks" of the paper).  The simulation engine calls :meth:`tick` every cycle;
 controllers are expected to return immediately except at period boundaries.
+Stalled cores sleep and credit their stall counters lazily, so a controller
+settles them (:meth:`ThrottleController._settle_cores`) before reading those.
 """
 
 from __future__ import annotations
@@ -39,6 +41,13 @@ class ThrottleController:
         """Called once per simulated cycle."""
 
     # -- helpers shared by subclasses -----------------------------------------------------
+    def _settle_cores(self, cycle: int) -> None:
+        """Credit sleeping cores' stall counters through ``cycle``; call before
+        reading them (the cores already ticked this cycle)."""
+
+        for core in self.cores:
+            core.settle(cycle + 1)
+
     def _set_core_limit(self, core: VectorCore, value: int) -> None:
         before = core.max_running_blocks
         core.set_max_running_blocks(value)

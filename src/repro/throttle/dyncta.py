@@ -35,6 +35,7 @@ class DynctaController(ThrottleController):
             return
         self._next_sample += self.params.sampling_period
         self.samples += 1
+        self._settle_cores(cycle)
         for i, core in enumerate(self.cores):
             mem_delta = core.stat_mem_stall_cycles - self._last_mem[i]
             idle_delta = core.stat_idle_cycles - self._last_idle[i]

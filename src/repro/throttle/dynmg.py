@@ -81,6 +81,7 @@ class DynMgController(ThrottleController):
 
     # -- level 2: in-core thread-block adjustment -----------------------------------------
     def _sub_period_sample(self, cycle: int) -> None:
+        self._settle_cores(cycle)
         for core in self.cores:
             delta = self.incore.evaluate(
                 core, throttled=core.throttled, max_blocks=core.max_running_blocks

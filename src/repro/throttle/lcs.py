@@ -44,6 +44,7 @@ class LcsController(ThrottleController):
             if core.stat_completed_blocks < self.params.observation_blocks:
                 continue
             # Issue utilisation observed while the first block(s) ran.
+            core.settle(cycle + 1)
             observed = max(1, core.stat_active_cycles + core.stat_mem_stall_cycles
                            + core.stat_compute_cycles)
             utilisation = core.stat_active_cycles / observed

@@ -41,7 +41,8 @@ class TestMissHandlingBoundRegime(object):
         """dynmg+BMA does not lose to the unoptimized baseline (§6.3.3).
 
         At CI scale the effect is muted relative to the paper's 1.26x geomean
-        (see EXPERIMENTS.md); the direction must still hold.
+        (see the committed ci-tier trend in BENCH_fig7_arbitration.json); the
+        direction must still hold.
         """
 
         assert mshr_bound_comparison.speedup("dynmg+BMA") > 1.0

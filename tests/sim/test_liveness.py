@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.liveness import StarvationInjectedArbiter
+from repro.analysis.liveness import StarvationInjectedArbiter, check_liveness
 from repro.common.errors import LivelockError, SimulationError
 from repro.config.policies import ArbitrationKind, PolicyConfig
 from repro.sim.engine import SimulationEngine, TerminationStatus
@@ -198,3 +198,15 @@ class TestEngineLiveness:
             assert snap.response_queue == len(llc_slice.response_queue)
             assert snap.arbitration_calls == llc_slice.arbiter.arbitration_calls
         assert "thread blocks" in report.render()
+
+
+class TestInjectedStarvationVerdict:
+    """The CLI-level injected run, pinned so that components which skip ticks
+    (sleeping cores) can neither delay nor hide the watchdog's verdict."""
+
+    def test_default_patience_verdict_is_pinned(self):
+        report = check_liveness(inject_starvation=True)
+        assert report.status == TerminationStatus.LIVELOCK.value
+        assert report.cycles == 133185
+        assert report.stall is not None
+        assert "no forward progress since cycle 33152" in report.stall

@@ -1,12 +1,15 @@
 """End-to-end tests of the simulator on small workloads."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.common.errors import ConfigError, SimulationError
+from repro.common.errors import ConfigError, ConservationError, SimulationError
+from repro.common.types import TraceEntry
 from repro.config.policies import PolicyConfig, ThrottleKind
 from repro.dataflow.analytical import analyze
 from repro.sim.engine import SimulationEngine
-from repro.sim.simulator import Simulator, simulate
+from repro.sim.simulator import Simulator, check_conservation, simulate
 from repro.sim.system import SimulatedSystem
 from repro.trace.generator import generate_trace
 from repro.trace.stats import compute_trace_stats
@@ -89,6 +92,71 @@ class TestConservationLaws:
     def test_dram_bandwidth_below_peak(self, result_and_trace, tiny_system):
         result, _, _ = result_and_trace
         assert result.dram_bandwidth_gbps <= tiny_system.dram.peak_bandwidth_gbps
+
+
+def _bump_llc(**deltas):
+    def bump(result):
+        changes = {k: getattr(result.llc, k) + v for k, v in deltas.items()}
+        return replace(result, llc=replace(result.llc, **changes))
+    return bump
+
+
+class TestRunEndConservationChecks:
+    """``Simulator._collect`` checks the laws above on every run it returns."""
+
+    @pytest.fixture()
+    def run(self, tiny_system, unopt_policy, tiny_workload):
+        sim = Simulator(tiny_system, unopt_policy, generate_trace(tiny_workload, tiny_system))
+        return sim.run(), sim.system
+
+    def test_a_finished_run_keeps_every_law(self, run):
+        result, system = run
+        check_conservation(result, system)
+
+    def test_pure_compute_entries_count_as_issued(self, tiny_system, unopt_policy):
+        stream = make_stream_trace(num_blocks=4, lines_per_block=8)
+        for block in stream.blocks:
+            block.entries.insert(1, TraceEntry(compute_cycles=3, addr=-1))
+        result = simulate(tiny_system, unopt_policy, trace=stream)  # checks every law
+        l1_hits = sum(core.l1_hits for core in result.cores)
+        assert result.total_requests_issued == l1_hits + result.noc_requests + 4
+
+    def test_core_cycles_law_checked_on_every_run(self, run):
+        result, system = run
+        system.cores[0].stat_idle_cycles += 1
+        for status in ("completed", "livelock"):
+            with pytest.raises(ConservationError) as excinfo:
+                check_conservation(replace(result, status=status), system)
+            assert excinfo.value.law == "core-cycles"
+
+    @pytest.mark.parametrize(
+        "law,tamper",
+        [
+            ("llc-lookups", _bump_llc(hits=1)),
+            ("llc-misses", _bump_llc(mshr_merges=1)),
+            ("dram-reads", lambda r: replace(r, dram=replace(r.dram, reads=r.dram.reads + 1))),
+            ("noc-responses", lambda r: replace(r, noc_responses=r.noc_responses + 1)),
+            (
+                "noc-requests",
+                lambda r: replace(
+                    r, noc_requests=r.noc_requests + 1, noc_responses=r.noc_responses + 1
+                ),
+            ),
+            (
+                "core-issues",
+                lambda r: replace(r, total_requests_issued=r.total_requests_issued + 1),
+            ),
+        ],
+    )
+    def test_each_drain_law_is_named(self, run, law, tamper):
+        result, system = run
+        broken = tamper(result)
+        with pytest.raises(ConservationError) as excinfo:
+            check_conservation(broken, system)
+        assert excinfo.value.law == law
+        assert isinstance(excinfo.value, SimulationError)
+        # Truncated runs did not drain, so only the per-core law applies.
+        check_conservation(replace(broken, status="livelock"), system)
 
 
 class TestDeterminism:
