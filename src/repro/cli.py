@@ -138,45 +138,6 @@ def _configure_logging(verbose: int, log_quiet: int) -> None:
         root.setLevel(logging.INFO)
 
 
-def _add_obs_args(parser: argparse.ArgumentParser) -> None:
-    """The observability knobs shared by ``serve`` and ``cluster``."""
-
-    parser.add_argument(
-        "--trace-out", default=None, metavar="FILE",
-        help="write a Chrome trace_event JSON of the run (open in Perfetto)",
-    )
-    parser.add_argument(
-        "--telemetry", type=float, default=None, metavar="MS",
-        help="sample queue depth / batch size / utilization every MS simulated "
-             "milliseconds and print an ASCII timeline",
-    )
-    parser.add_argument(
-        "--metrics-sketch", action="store_true",
-        help="compute latency percentiles from merged log-bucketed histograms "
-             "(fixed memory, bounded relative error) instead of exact "
-             "per-request sample lists",
-    )
-
-
-def _add_prefill_args(parser: argparse.ArgumentParser) -> None:
-    """The prefill-scheduling knobs shared by ``serve`` and ``cluster``."""
-
-    parser.add_argument(
-        "--scheduler", default=DEFAULT_SCHEDULER,
-        help='registered step-planning policy, e.g. "decode-first", '
-             '"prefill-first", "chunked"',
-    )
-    parser.add_argument(
-        "--prefill-chunk", type=int, default=DEFAULT_PREFILL_CHUNK,
-        help="token budget of one chunked-prefill iteration "
-             "(chunked scheduler only)",
-    )
-    parser.add_argument(
-        "--no-prefill-cost", dest="prefill_cost", action="store_false",
-        help="treat prompts as free (the legacy decode-only timeline)",
-    )
-
-
 def _kv_budget_value(text: str) -> int | str:
     """Parse a ``--kv-budget`` value: a token count or the literal "system"."""
 
@@ -228,6 +189,93 @@ def _add_kv_args(parser: argparse.ArgumentParser, *, sweep: bool = False) -> Non
     )
 
 
+def _add_serving_args(parser: argparse.ArgumentParser, *, fleet: bool) -> None:
+    """The flags ``serve`` and ``cluster`` share; ``fleet`` adds the cluster's."""
+
+    parser.add_argument(
+        "--workload", "--model", dest="workload", default="llama3-70b",
+        help="registered workload name (e.g. llama3-70b-decode)",
+    )
+    parser.add_argument(
+        "--arrival", default="poisson",
+        help='registered arrival process, e.g. "poisson", "bursty", "closed-loop"',
+    )
+    parser.add_argument(
+        "--rate", type=float, default=2000.0,
+        help="requests/s (open-loop) or user population (closed-loop)",
+    )
+    parser.add_argument("--num-requests", type=int, default=32)
+    if fleet:
+        parser.add_argument("--replicas", type=int, default=2,
+                            help="fleet size (accelerator replicas)")
+        parser.add_argument(
+            "--router", default="round-robin",
+            help='registered router, e.g. "round-robin", "least-outstanding", '
+                 '"join-shortest-queue", "weighted"',
+        )
+        parser.add_argument("--max-batch", type=int, default=4,
+                            help="per-replica continuous-batching bound")
+    else:
+        parser.add_argument("--max-batch", type=int, default=4)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--policy", default="unopt")
+    parser.add_argument(
+        "--scheduler", default=DEFAULT_SCHEDULER,
+        help='registered step-planning policy, e.g. "decode-first", '
+             '"prefill-first", "chunked"',
+    )
+    parser.add_argument(
+        "--prefill-chunk", type=int, default=DEFAULT_PREFILL_CHUNK,
+        help="token budget of one chunked-prefill iteration "
+             "(chunked scheduler only)",
+    )
+    parser.add_argument(
+        "--no-prefill-cost", dest="prefill_cost", action="store_false",
+        help="treat prompts as free (the legacy decode-only timeline)",
+    )
+    _add_kv_args(parser)
+    if fleet:
+        parser.add_argument(
+            "--disaggregated", nargs="?", const="1p1d", default=None, metavar="PpDd",
+            help='split the fleet into prefill and decode replicas, e.g. "2p2d" '
+                 "(replica count follows the spec; bare flag means 1p1d)",
+        )
+        parser.add_argument(
+            "--kv-transfer-ms", type=float, default=0.0,
+            help="KV-cache transfer latency of one prefill-to-decode handoff",
+        )
+        parser.add_argument(
+            "--system", action="append", dest="systems",
+            help="repeatable system preset; one name is broadcast to every "
+                 "replica, N names give a heterogeneous fleet (default: table5)",
+        )
+    else:
+        parser.add_argument("--system", default="table5", help="registered system name")
+    parser.add_argument("--tier", default="ci")
+    parser.add_argument("--slo-ttft-ms", type=float, default=None)
+    parser.add_argument("--slo-latency-ms", type=float, default=None)
+    fleet_size = "2 replicas, " if fleet else ""
+    parser.add_argument(
+        "--smoke", action="store_true",
+        help=f"fast CI preset: smoke tier, 8 requests, {fleet_size}batch <= 2",
+    )
+    parser.add_argument(
+        "--trace-out", default=None, metavar="FILE",
+        help="write a Chrome trace_event JSON of the run (open in Perfetto)",
+    )
+    parser.add_argument(
+        "--telemetry", type=float, default=None, metavar="MS",
+        help="sample queue depth / batch size / utilization every MS simulated "
+             "milliseconds and print an ASCII timeline",
+    )
+    parser.add_argument(
+        "--metrics-sketch", action="store_true",
+        help="compute latency percentiles from merged log-bucketed histograms "
+             "(fixed memory, bounded relative error) instead of exact "
+             "per-request sample lists",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="llamcat", description=__doc__)
     parser.add_argument(
@@ -251,86 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="simulate serving a request stream (continuous batching, SLO metrics)",
     )
-    serve_p.add_argument(
-        "--workload", "--model", dest="workload", default="llama3-70b",
-        help="registered workload name (e.g. llama3-70b-decode)",
-    )
-    serve_p.add_argument(
-        "--arrival", default="poisson",
-        help='registered arrival process, e.g. "poisson", "bursty", "closed-loop"',
-    )
-    serve_p.add_argument(
-        "--rate", type=float, default=2000.0,
-        help="requests/s (open-loop) or user population (closed-loop)",
-    )
-    serve_p.add_argument("--num-requests", type=int, default=32)
-    serve_p.add_argument("--max-batch", type=int, default=4)
-    serve_p.add_argument("--seed", type=int, default=0)
-    serve_p.add_argument("--policy", default="unopt")
-    _add_prefill_args(serve_p)
-    _add_kv_args(serve_p)
-    serve_p.add_argument("--system", default="table5", help="registered system name")
-    serve_p.add_argument("--tier", default="ci")
-    serve_p.add_argument("--slo-ttft-ms", type=float, default=None)
-    serve_p.add_argument("--slo-latency-ms", type=float, default=None)
-    serve_p.add_argument(
-        "--smoke", action="store_true",
-        help="fast CI preset: smoke tier, 8 requests, batch <= 2",
-    )
-    _add_obs_args(serve_p)
+    _add_serving_args(serve_p, fleet=False)
 
     cluster_p = sub.add_parser(
         "cluster",
         help="simulate a multi-replica serving fleet behind a pluggable router",
     )
-    cluster_p.add_argument(
-        "--workload", "--model", dest="workload", default="llama3-70b",
-        help="registered workload name (e.g. llama3-70b-decode)",
-    )
-    cluster_p.add_argument(
-        "--arrival", default="poisson",
-        help='registered arrival process, e.g. "poisson", "bursty", "closed-loop"',
-    )
-    cluster_p.add_argument(
-        "--rate", type=float, default=2000.0,
-        help="requests/s (open-loop) or user population (closed-loop)",
-    )
-    cluster_p.add_argument("--num-requests", type=int, default=32)
-    cluster_p.add_argument("--replicas", type=int, default=2,
-                           help="fleet size (accelerator replicas)")
-    cluster_p.add_argument(
-        "--router", default="round-robin",
-        help='registered router, e.g. "round-robin", "least-outstanding", '
-             '"join-shortest-queue", "weighted"',
-    )
-    cluster_p.add_argument("--max-batch", type=int, default=4,
-                           help="per-replica continuous-batching bound")
-    cluster_p.add_argument("--seed", type=int, default=0)
-    cluster_p.add_argument("--policy", default="unopt")
-    _add_prefill_args(cluster_p)
-    _add_kv_args(cluster_p)
-    cluster_p.add_argument(
-        "--disaggregated", nargs="?", const="1p1d", default=None, metavar="PpDd",
-        help='split the fleet into prefill and decode replicas, e.g. "2p2d" '
-             "(replica count follows the spec; bare flag means 1p1d)",
-    )
-    cluster_p.add_argument(
-        "--kv-transfer-ms", type=float, default=0.0,
-        help="KV-cache transfer latency of one prefill-to-decode handoff",
-    )
-    cluster_p.add_argument(
-        "--system", action="append", dest="systems",
-        help="repeatable system preset; one name is broadcast to every "
-             "replica, N names give a heterogeneous fleet (default: table5)",
-    )
-    cluster_p.add_argument("--tier", default="ci")
-    cluster_p.add_argument("--slo-ttft-ms", type=float, default=None)
-    cluster_p.add_argument("--slo-latency-ms", type=float, default=None)
-    cluster_p.add_argument(
-        "--smoke", action="store_true",
-        help="fast CI preset: smoke tier, 8 requests, 2 replicas, batch <= 2",
-    )
-    _add_obs_args(cluster_p)
+    _add_serving_args(cluster_p, fleet=True)
 
     sweep_p = sub.add_parser(
         "sweep",
@@ -605,24 +580,10 @@ def _percentile_rows(metrics) -> list[dict]:
     return rows
 
 
-def _make_tracer(args: argparse.Namespace) -> ChromeTracer | None:
-    return ChromeTracer() if args.trace_out else None
+def _serving_fields(args: argparse.Namespace) -> dict:
+    """The scenario fields ``serve`` and ``cluster`` share, ``--smoke`` applied."""
 
-
-def _finish_obs(args: argparse.Namespace, tracer: ChromeTracer | None, metrics) -> None:
-    """Write the trace file and print the telemetry timeline, when asked for."""
-
-    if tracer is not None:
-        tracer.write(args.trace_out)
-        print(f"trace: {args.trace_out} ({len(tracer)} events)")
-    if metrics.telemetry is not None:
-        print()
-        print(render_timeline(metrics.telemetry))
-
-
-def _serve_command(args: argparse.Namespace) -> int:
-    tier = "smoke" if args.smoke else args.tier
-    scenario = ServeScenario(
+    return dict(
         workload=args.workload,
         arrival=args.arrival,
         rate=args.rate,
@@ -633,8 +594,7 @@ def _serve_command(args: argparse.Namespace) -> int:
         scheduler=args.scheduler,
         prefill_chunk=args.prefill_chunk,
         prefill_cost=args.prefill_cost,
-        system=args.system,
-        tier=parse_tier(tier),
+        tier=parse_tier("smoke" if args.smoke else args.tier),
         slo_ttft_ms=args.slo_ttft_ms,
         slo_latency_ms=args.slo_latency_ms,
         telemetry_ms=args.telemetry,
@@ -642,8 +602,16 @@ def _serve_command(args: argparse.Namespace) -> int:
         kv_block=args.kv_block,
         preemption=args.preemption,
         kv_swap_ms=args.kv_swap_ms,
-    ).validate()
-    tracer = _make_tracer(args)
+    )
+
+
+def _run_serving(args: argparse.Namespace, scenario):
+    """Run a serve or cluster scenario and print its summary line.
+
+    Returns the tracer (None unless ``--trace-out``) and the metrics.
+    """
+
+    tracer = ChromeTracer() if args.trace_out else None
     profiler = Profiler()
     metrics = scenario.run(tracer=tracer, profiler=profiler)
     if args.metrics_sketch:
@@ -651,6 +619,26 @@ def _serve_command(args: argparse.Namespace) -> int:
     logger.debug("profile:\n%s", profiler.summary())
     print(metrics.summary())
     print()
+    return tracer, metrics
+
+
+def _finish_serving(args: argparse.Namespace, scenario, tracer, metrics) -> int:
+    """Print SLO attainment, write the trace and print the telemetry timeline."""
+
+    if not scenario.slo().is_trivial:
+        print(f"SLO attainment: {metrics.slo_attainment:.1%}")
+    if tracer is not None:
+        tracer.write(args.trace_out)
+        print(f"trace: {args.trace_out} ({len(tracer)} events)")
+    if metrics.telemetry is not None:
+        print()
+        print(render_timeline(metrics.telemetry))
+    return 0
+
+
+def _serve_command(args: argparse.Namespace) -> int:
+    scenario = ServeScenario(system=args.system, **_serving_fields(args)).validate()
+    tracer, metrics = _run_serving(args, scenario)
     print(
         format_grid(
             f"latency percentiles ({scenario.display_label}, {scenario.scheduler})",
@@ -672,14 +660,10 @@ def _serve_command(args: argparse.Namespace) -> int:
             f"({metrics.meta['preemption']}), "
             f"memory-bound {metrics.meta['kv_memory_bound_frac']:.1%} of the run"
         )
-    if not scenario.slo().is_trivial:
-        print(f"SLO attainment: {metrics.slo_attainment:.1%}")
-    _finish_obs(args, tracer, metrics)
-    return 0
+    return _finish_serving(args, scenario, tracer, metrics)
 
 
 def _cluster_command(args: argparse.Namespace) -> int:
-    tier = "smoke" if args.smoke else args.tier
     if args.disaggregated is not None:
         # The fleet split fixes the replica count (smoke keeps the bare-flag
         # default of 1p1d small on its own); a contradicting --replicas is an
@@ -699,38 +683,14 @@ def _cluster_command(args: argparse.Namespace) -> int:
     if args.smoke and len(systems) > 1:
         systems = systems[:replicas]
     scenario = ClusterScenario(
-        workload=args.workload,
-        arrival=args.arrival,
-        rate=args.rate,
-        num_requests=8 if args.smoke else args.num_requests,
         replicas=replicas,
         router=args.router,
-        max_batch=min(args.max_batch, 2) if args.smoke else args.max_batch,
-        seed=args.seed,
-        policy=args.policy,
-        scheduler=args.scheduler,
-        prefill_chunk=args.prefill_chunk,
-        prefill_cost=args.prefill_cost,
         disaggregated=args.disaggregated,
         kv_transfer_ms=args.kv_transfer_ms,
         systems=systems,
-        tier=parse_tier(tier),
-        slo_ttft_ms=args.slo_ttft_ms,
-        slo_latency_ms=args.slo_latency_ms,
-        telemetry_ms=args.telemetry,
-        kv_budget=args.kv_budget,
-        kv_block=args.kv_block,
-        preemption=args.preemption,
-        kv_swap_ms=args.kv_swap_ms,
+        **_serving_fields(args),
     ).validate()
-    tracer = _make_tracer(args)
-    profiler = Profiler()
-    metrics = scenario.run(tracer=tracer, profiler=profiler)
-    if args.metrics_sketch:
-        metrics = metrics.with_sketch()
-    logger.debug("profile:\n%s", profiler.summary())
-    print(metrics.summary())
-    print()
+    tracer, metrics = _run_serving(args, scenario)
     replica_rows = [
         {
             "replica": replica.replica_id,
@@ -765,10 +725,7 @@ def _cluster_command(args: argparse.Namespace) -> int:
             f"{sum(metrics.meta['preemptions'])} preemptions "
             f"({metrics.meta['preemption']})"
         )
-    if not scenario.slo().is_trivial:
-        print(f"SLO attainment: {metrics.slo_attainment:.1%}")
-    _finish_obs(args, tracer, metrics)
-    return 0
+    return _finish_serving(args, scenario, tracer, metrics)
 
 
 def _point_progress(done: int, total: int, outcome, detail: str = "") -> None:
@@ -782,20 +739,73 @@ def _point_progress(done: int, total: int, outcome, detail: str = "") -> None:
     )
 
 
-def _run_cluster_sweep_command(args: argparse.Namespace) -> int:
+def _execute_sweep(args: argparse.Namespace, points, progress):
+    """Run sweep points through the executor and the optional ``--store``."""
+
+    store = ResultStore(args.store) if args.store else None
+    if store is not None and store.completed_count:
+        print(f"store: {store.path} ({store.completed_count} completed points on disk)")
+    report = run_sweep(
+        points,
+        jobs=args.jobs,
+        store=store,
+        progress=None if args.quiet else progress,
+        force=args.force,
+    )
+    logger.debug("sweep profile: %s", report.profile())
+    return report
+
+
+def _finish_sweep(title: str, rows: list[dict], report) -> int:
+    print()
+    print(format_grid(title, rows))
+    print(report.summary())
+    for failure in report.failures:
+        print(f"FAILED {failure.point.describe()}:\n{failure.error}")
+    return 1 if report.failures else 0
+
+
+#: ``sweep --serve``/``--cluster``: the grid spec, the coordinate columns and
+#: the metric columns of the results table.
+SERVING_SWEEPS = {
+    "serve": (
+        ServeSweepSpec,
+        ("model", "arrival", "rate", "scheduler", "policy"),
+        ("p50_ms", "p95_ms", "p99_ms", "tokens_per_s", "slo"),
+    ),
+    "cluster": (
+        ClusterSweepSpec,
+        ("model", "rate", "replicas", "router", "scheduler"),
+        ("p50_ms", "p99_ms", "tokens_per_s", "imbalance", "slo"),
+    ),
+}
+
+#: Serving-sweep metric column -> its value from a point's metrics.
+SWEEP_METRICS = {
+    "p50_ms": lambda m: m.latency_percentile_ms(50),
+    "p95_ms": lambda m: m.latency_percentile_ms(95),
+    "p99_ms": lambda m: m.latency_percentile_ms(99),
+    "tokens_per_s": lambda m: m.tokens_per_s,
+    "imbalance": lambda m: m.load_imbalance,
+    "slo": lambda m: m.slo_attainment,
+}
+
+
+def _run_serving_sweep_command(args: argparse.Namespace, mode: str) -> int:
     _validate_jobs(args.jobs)
-    spec = ClusterSweepSpec(
-        workloads=tuple(args.models or ("llama3-70b",)),
-        rates=tuple(args.rates or SERVE_SWEEP_RATES),
-        replica_counts=tuple(args.replica_counts or CLUSTER_SWEEP_REPLICAS),
-        routers=tuple(args.routers or ("round-robin",)),
-        arrivals=tuple(args.arrivals or ("poisson",)),
-        schedulers=tuple(args.schedulers or (DEFAULT_SCHEDULER,)),
-        prefill_chunks=tuple(args.prefill_chunks or (DEFAULT_PREFILL_CHUNK,)),
-        policies=tuple(args.policies or ("unopt",)),
-        kv_budgets=tuple(args.kv_budgets or (None,)),
-        kv_blocks=tuple(args.kv_blocks or (1,)),
-        preemptions=tuple(args.preemptions or ("recompute",)),
+    spec_class, coord_columns, metric_columns = SERVING_SWEEPS[mode]
+    defaults = {
+        "workloads": ("llama3-70b",),
+        "rates": SERVE_SWEEP_RATES,
+        "replica_counts": CLUSTER_SWEEP_REPLICAS,
+    }
+    axes = {}
+    for axis, _, _ in spec_class.AXES:
+        given = args.models if axis == "workloads" else getattr(args, axis)
+        if given or axis in defaults:
+            axes[axis] = tuple(given or defaults[axis])
+    spec = spec_class(
+        **axes,
         kv_swap_ms=args.kv_swap_ms,
         num_requests=args.num_requests,
         max_batch=args.max_batch,
@@ -806,139 +816,25 @@ def _run_cluster_sweep_command(args: argparse.Namespace) -> int:
     ).validate()
 
     points = spec.expand()
+    grid = " x ".join(f"{len(getattr(spec, axis))} {noun}" for axis, _, noun in spec.AXES)
     print(
-        f"cluster sweep: {len(points)} points = {len(spec.workloads)} workloads x "
-        f"{len(spec.arrivals)} arrivals x {len(spec.rates)} rates x "
-        f"{len(spec.replica_counts)} fleet sizes x {len(spec.routers)} routers x "
-        f"{len(spec.schedulers)} schedulers x {len(spec.prefill_chunks)} chunks x "
-        f"{len(spec.policies)} policies x {len(spec.kv_budgets)} KV budgets x "
-        f"{len(spec.kv_blocks)} KV blocks x {len(spec.preemptions)} preemptions "
+        f"{mode} sweep: {len(points)} points = {grid} "
         f"(tier={spec.tier.name}, jobs={args.jobs})"
     )
-    store = ResultStore(args.store) if args.store else None
-    if store is not None and store.completed_count:
-        print(f"store: {store.path} ({store.completed_count} completed points on disk)")
-
-    report = run_sweep(
-        points,
-        jobs=args.jobs,
-        store=store,
-        progress=None if args.quiet else _point_progress,
-        force=args.force,
-    )
-    logger.debug("sweep profile: %s", report.profile())
+    report = _execute_sweep(args, points, _point_progress)
 
     rows = []
     for outcome in report.outcomes:
-        point = outcome.point
-        row = {
-            "model": point.coord("model"),
-            "rate": point.coord("rate"),
-            "replicas": point.coord("replicas"),
-            "router": point.coord("router"),
-            "scheduler": point.coord("scheduler"),
-        }
+        row = {column: outcome.point.coord(column) for column in coord_columns}
         if outcome.ok:
-            metrics = outcome.result
             row.update(
-                {
-                    "p50_ms": metrics.latency_percentile_ms(50),
-                    "p99_ms": metrics.latency_percentile_ms(99),
-                    "tokens_per_s": metrics.tokens_per_s,
-                    "imbalance": metrics.load_imbalance,
-                    "slo": metrics.slo_attainment,
-                }
+                {column: SWEEP_METRICS[column](outcome.result) for column in metric_columns}
             )
         else:
-            row.update(
-                {"p50_ms": "FAILED", "p99_ms": "-", "tokens_per_s": "-",
-                 "imbalance": "-", "slo": "-"}
-            )
+            row.update({column: "-" for column in metric_columns})
+            row[metric_columns[0]] = "FAILED"
         rows.append(row)
-    print()
-    print(format_grid(f"cluster sweep results (tier={spec.tier.name})", rows))
-    print(report.summary())
-    for failure in report.failures:
-        print(f"FAILED {failure.point.describe()}:\n{failure.error}")
-    return 1 if report.failures else 0
-
-
-def _run_serve_sweep_command(args: argparse.Namespace) -> int:
-    _validate_jobs(args.jobs)
-    spec = ServeSweepSpec(
-        workloads=tuple(args.models or ("llama3-70b",)),
-        rates=tuple(args.rates or SERVE_SWEEP_RATES),
-        arrivals=tuple(args.arrivals or ("poisson",)),
-        schedulers=tuple(args.schedulers or (DEFAULT_SCHEDULER,)),
-        prefill_chunks=tuple(args.prefill_chunks or (DEFAULT_PREFILL_CHUNK,)),
-        policies=tuple(args.policies or ("unopt",)),
-        kv_budgets=tuple(args.kv_budgets or (None,)),
-        kv_blocks=tuple(args.kv_blocks or (1,)),
-        preemptions=tuple(args.preemptions or ("recompute",)),
-        kv_swap_ms=args.kv_swap_ms,
-        num_requests=args.num_requests,
-        max_batch=args.max_batch,
-        seed=args.seed,
-        tier=parse_tier(args.tier),
-        max_cycles=args.max_cycles,
-        telemetry_ms=args.telemetry,
-    ).validate()
-
-    points = spec.expand()
-    print(
-        f"serve sweep: {len(points)} points = {len(spec.workloads)} workloads x "
-        f"{len(spec.arrivals)} arrivals x {len(spec.rates)} rates x "
-        f"{len(spec.schedulers)} schedulers x {len(spec.prefill_chunks)} chunks x "
-        f"{len(spec.policies)} policies x {len(spec.kv_budgets)} KV budgets x "
-        f"{len(spec.kv_blocks)} KV blocks x {len(spec.preemptions)} preemptions "
-        f"(tier={spec.tier.name}, jobs={args.jobs})"
-    )
-    store = ResultStore(args.store) if args.store else None
-    if store is not None and store.completed_count:
-        print(f"store: {store.path} ({store.completed_count} completed points on disk)")
-
-    report = run_sweep(
-        points,
-        jobs=args.jobs,
-        store=store,
-        progress=None if args.quiet else _point_progress,
-        force=args.force,
-    )
-    logger.debug("sweep profile: %s", report.profile())
-
-    rows = []
-    for outcome in report.outcomes:
-        point = outcome.point
-        row = {
-            "model": point.coord("model"),
-            "arrival": point.coord("arrival"),
-            "rate": point.coord("rate"),
-            "scheduler": point.coord("scheduler"),
-            "policy": point.coord("policy"),
-        }
-        if outcome.ok:
-            metrics = outcome.result
-            row.update(
-                {
-                    "p50_ms": metrics.latency_percentile_ms(50),
-                    "p95_ms": metrics.latency_percentile_ms(95),
-                    "p99_ms": metrics.latency_percentile_ms(99),
-                    "tokens_per_s": metrics.tokens_per_s,
-                    "slo": metrics.slo_attainment,
-                }
-            )
-        else:
-            row.update(
-                {"p50_ms": "FAILED", "p95_ms": "-", "p99_ms": "-",
-                 "tokens_per_s": "-", "slo": "-"}
-            )
-        rows.append(row)
-    print()
-    print(format_grid(f"serve sweep results (tier={spec.tier.name})", rows))
-    print(report.summary())
-    for failure in report.failures:
-        print(f"FAILED {failure.point.describe()}:\n{failure.error}")
-    return 1 if report.failures else 0
+    return _finish_sweep(f"{mode} sweep results (tier={spec.tier.name})", rows, report)
 
 
 def _run_sweep_command(args: argparse.Namespace) -> int:
@@ -971,10 +867,8 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
             "--telemetry samples serving-time series; pass --serve or "
             "--cluster to sweep serving points"
         )
-    if args.cluster:
-        return _run_cluster_sweep_command(args)
-    if args.serve:
-        return _run_serve_sweep_command(args)
+    if args.serve or args.cluster:
+        return _run_serving_sweep_command(args, "cluster" if args.cluster else "serve")
     _validate_jobs(args.jobs)
     spec = SweepSpec(
         models=tuple(args.models or ("llama3-70b", "llama3-405b")),
@@ -991,22 +885,11 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
         f"{len(spec.l2_mib)} L2 sizes x {len(spec.seq_lens)} seq lens x "
         f"{len(spec.policies)} policies (tier={spec.tier.name}, jobs={args.jobs})"
     )
-    store = ResultStore(args.store) if args.store else None
-    if store is not None and store.completed_count:
-        print(f"store: {store.path} ({store.completed_count} completed points on disk)")
-
     def progress(done: int, total: int, outcome) -> None:
         cycles = f"{outcome.result.cycles:>10}" if outcome.ok else " " * 10
         _point_progress(done, total, outcome, detail=f"{cycles} cycles  ")
 
-    report = run_sweep(
-        points,
-        jobs=args.jobs,
-        store=store,
-        progress=None if args.quiet else progress,
-        force=args.force,
-    )
-    logger.debug("sweep profile: %s", report.profile())
+    report = _execute_sweep(args, points, progress)
 
     # Summary table: speedups are normalised against the first --policy label
     # within each (model, L2, seq-len) cell.
@@ -1037,12 +920,7 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
                 ),
             }
         )
-    print()
-    print(format_grid(f"sweep results (tier={spec.tier.name})", rows))
-    print(report.summary())
-    for failure in report.failures:
-        print(f"FAILED {failure.point.describe()}:\n{failure.error}")
-    return 1 if report.failures else 0
+    return _finish_sweep(f"sweep results (tier={spec.tier.name})", rows, report)
 
 
 def _bench_command(args: argparse.Namespace) -> int:

@@ -49,11 +49,10 @@ from repro.cluster.scenario import (
     run_cluster_scenario,
 )
 from repro.cluster.simulator import ClusterSimulator, ReplicaSim
-from repro.cluster.sweep import ClusterPoint, ClusterSweepSpec
+from repro.cluster.sweep import ClusterSweepSpec
 
 __all__ = [
     "ClusterMetrics",
-    "ClusterPoint",
     "ClusterScenario",
     "ClusterSimulator",
     "ClusterSweepSpec",

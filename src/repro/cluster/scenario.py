@@ -21,6 +21,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 from repro.cluster.metrics import ClusterMetrics
 from repro.cluster.simulator import ClusterSimulator, ReplicaSim
@@ -90,6 +91,9 @@ class ClusterScenario:
     dispatched by a second instance of the same router discipline).
     ``replicas`` must equal P + D.
     """
+
+    #: Result-store kind tag of the metrics this point produces.
+    result_kind: ClassVar[str] = ClusterMetrics.result_kind
 
     workload: str
     arrival: str = "poisson"
@@ -263,10 +267,20 @@ class ClusterScenario:
     def display_label(self) -> str:
         if self.label is not None:
             return self.label
+        return f"{self.router}x{self._fleet_size()}@{self.arrival}"
+
+    def _fleet_size(self) -> str | int:
+        """The fleet as labels spell it: the P/D split, else the replica count."""
+
         fleet = self.canonical_disaggregated()
-        if fleet is None:
-            fleet = self.replicas
-        return f"{self.router}x{fleet}@{self.arrival}"
+        return self.replicas if fleet is None else fleet
+
+    def describe(self) -> str:
+        return (
+            f"cluster {self.workload} x{self._fleet_size()} {self.router} "
+            f"{self.scheduler} {self.arrival}@{self.rate:g} n={self.num_requests} "
+            f"b<={self.max_batch} seed={self.seed}"
+        )
 
     # -- identity ----------------------------------------------------------------------
     def config_dict(self) -> dict:

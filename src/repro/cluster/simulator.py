@@ -1,11 +1,13 @@
-"""The multi-replica serving simulator.
+"""The serving event loop: N replicas behind a router (serve runs N = 1).
 
 :class:`ClusterSimulator` runs N accelerator replicas against one shared
-arrival stream.  Each replica is a full single-accelerator serving pipeline --
-its own :class:`~repro.serve.scheduler.ContinuousBatchScheduler`, step-planning
+arrival stream.  Each replica is a full serving pipeline -- its own
+:class:`~repro.serve.scheduler.ContinuousBatchScheduler`, step-planning
 policy and step-cost model -- while a pluggable
 :class:`~repro.cluster.router.Router` decides, at each request's arrival
-instant, which replica receives it.
+instant, which replica receives it.  This is the repo's only serving loop:
+:class:`~repro.serve.simulator.ServingSimulator` is one replica behind a
+round-robin router.
 
 The event loop interleaves three event kinds on one clock:
 
@@ -57,6 +59,7 @@ from repro.obs.tracer import (
     Tracer,
     trace_request,
 )
+from repro.serve import simulator as serve_simulator
 from repro.serve.arrival import ArrivalProcess
 from repro.serve.metrics import RequestMetrics, ServeSLO
 from repro.serve.schedpolicy import (
@@ -72,12 +75,7 @@ from repro.serve.scheduler import (
     HandoffRequest,
     bucket_context,
 )
-from repro.serve.simulator import (
-    MAX_STEPS,
-    build_serve_stall_report,
-    complete_step,
-    plan_cycles,
-)
+from repro.serve.simulator import build_serve_stall_report, complete_step, plan_cycles
 from repro.serve.stepcost import StepCostModel
 
 #: The replica roles a fleet may mix: every colocated replica is "mixed";
@@ -134,6 +132,9 @@ class ReplicaSim:
         self._ready_handoffs: list[ActiveRequest] = []
         self.steps = 0
         self.total_cycles = 0
+        #: Steps that carried prompt chunks, and the prompt tokens they carried.
+        self.prefill_steps = 0
+        self.prefill_tokens = 0
         self.busy_s = 0.0
         #: Busy time spent with admission stalled on KV memory (or funding
         #: decode growth through preemption) -- the memory-bound signal.
@@ -148,10 +149,6 @@ class ReplicaSim:
         self.probe = None
 
     # -- load signals (read by routers) ------------------------------------------------
-    @property
-    def busy(self) -> bool:
-        return self.step_end_s is not None
-
     @property
     def queue_depth(self) -> int:
         """Requests routed here but not yet admitted into the batch."""
@@ -198,47 +195,50 @@ class ReplicaSim:
         """Admit waiting requests and launch one planned iteration.
 
         Zero-cost plans (free prefill) are applied instantly without consuming
-        a step, exactly like the single-accelerator loop; the replica then
-        re-plans against the updated batch.
+        a step -- which keeps ``decode-first`` with prefill cost disabled
+        bit-for-bit the legacy decode-only timeline; the replica then re-plans
+        against the updated batch.
         """
 
-        if self.busy:
+        if self.step_end_s is not None:
             return False
+        scheduler = self.scheduler
         while True:
-            self.scheduler.admit(now_s)
-            if not self.scheduler.running:
+            scheduler.admit(now_s)
+            if not scheduler.running:
                 if self.recorder is not None:
                     self.recorder.observe(self.replica_id, now_s, self.queue_depth, 0)
                 return False
-            preempted = self.scheduler.ensure_kv_growth(now_s)
-            plan = self.policy.plan(self.scheduler.running)
-            cycles = plan_cycles(
-                self.cost_model, plan, self.scheduler.config.seq_bucket_floor
-            )
+            preempted = scheduler.ensure_kv_growth(now_s)
+            plan = self.policy.plan(scheduler.running)
+            cycles = plan_cycles(self.cost_model, plan, scheduler.config.seq_bucket_floor)
             if cycles < 0:
                 raise ConfigError(f"step cost model returned {cycles} cycles")
             if cycles == 0:
                 if plan.decode:
                     raise ConfigError("step cost model priced a decode step at 0 cycles")
-                complete_step(self.scheduler, plan, now_s)
+                complete_step(scheduler, plan, now_s)
                 self._harvest_handoffs()
                 continue
             self.steps += 1
             self.total_cycles += cycles
+            if plan.prefill:
+                self.prefill_steps += 1
+                self.prefill_tokens += plan.prefill_tokens
             if self.probe is not None:
                 self.probe.record_step(
                     replica_id=self.replica_id,
                     step=self.steps,
                     start_s=now_s,
-                    scheduler=self.scheduler,
+                    scheduler=scheduler,
                     plan=plan,
                     cycles=cycles,
                 )
             duration_s = cycles / (self.frequency_ghz * 1e9)
             self.busy_s += duration_s
-            if self.scheduler.kv_blocked or preempted:
+            if scheduler.kv_blocked or preempted:
                 self.mem_bound_s += duration_s
-            self.step_end_s = now_s + duration_s
+            end_s = self.step_end_s = now_s + duration_s
             self._plan = plan
             # The step's span is fully known at launch, so both sinks record
             # here; completion only applies the plan.
@@ -247,19 +247,18 @@ class ReplicaSim:
                 args["cycles"] = cycles
                 if plan.decode:
                     args["seq_bucket"] = bucket_context(
-                        plan.decode_context(), self.scheduler.config.seq_bucket_floor
+                        plan.decode_context(), scheduler.config.seq_bucket_floor
                     )
                 self.tracer.complete(
-                    "step", CAT_STEP, self.replica_id, 0, now_s, self.step_end_s,
-                    args=args,
+                    "step", CAT_STEP, self.replica_id, 0, now_s, end_s, args=args
                 )
             if self.recorder is not None:
                 self.recorder.on_step(
                     self.replica_id,
                     now_s,
-                    self.step_end_s,
+                    end_s,
                     self.queue_depth,
-                    len(self.scheduler.running),
+                    len(scheduler.running),
                     len(plan.decode),
                 )
             return True
@@ -427,6 +426,10 @@ class ClusterSimulator:
                 f"arrival process {self.arrival.name!r} produced no requests"
             )
         first_arrival_s = pending[0][0]
+        # Runaway guard: each replica gets the per-replica step budget, read
+        # through its module so a patched budget takes effect.
+        step_budget = serve_simulator.MAX_STEPS * len(self.replicas)
+        fleet_steps = 0
 
         def collect_handoffs(now_s: float) -> None:
             nonlocal handoff_count
@@ -452,6 +455,8 @@ class ClusterSimulator:
                         ),
                     )
 
+        replicas = self.replicas
+        has_prefill = bool(self.prefill_replicas)
         now_s = 0.0
         while True:
             # Route everything that has arrived by now: the router sees queue
@@ -482,25 +487,30 @@ class ClusterSimulator:
 
             # Launch steps on every idle replica with admissible work (free
             # prefill may complete instantly and surface handoffs here).
-            for replica in self.replicas:
-                replica.maybe_start_step(now_s)
-            collect_handoffs(now_s)
+            for replica in replicas:
+                if replica.maybe_start_step(now_s):
+                    fleet_steps += 1
+            if has_prefill:
+                collect_handoffs(now_s)
 
             # Advance the clock to the next event (step end, arrival, handoff,
             # or an idle replica's future re-admission -- a swap-preempted
             # request waiting out its transfer is an event source too).
-            event_times = [r.step_end_s for r in self.replicas if r.step_end_s is not None]
-            if pending:
-                event_times.append(pending[0][0])
-            if handoffs:
-                event_times.append(handoffs[0][0])
-            for replica in self.replicas:
-                if replica.step_end_s is None:
-                    next_arrival = replica.scheduler.next_arrival_s()
-                    if next_arrival is not None and next_arrival > now_s:
-                        event_times.append(next_arrival)
-            if not event_times:
-                stuck = [r for r in self.replicas if r.has_work]
+            next_s = None
+            for replica in replicas:
+                t = replica.step_end_s
+                if t is None:
+                    t = replica.scheduler.next_arrival_s()
+                    if t is None or t <= now_s:
+                        continue
+                if next_s is None or t < next_s:
+                    next_s = t
+            if pending and (next_s is None or pending[0][0] < next_s):
+                next_s = pending[0][0]
+            if handoffs and (next_s is None or handoffs[0][0] < next_s):
+                next_s = handoffs[0][0]
+            if next_s is None:
+                stuck = [r for r in replicas if r.has_work]
                 if stuck:
                     # Work remains but no event can ever fire: every stuck
                     # replica refused admission into an empty batch (a full-KV
@@ -524,33 +534,30 @@ class ClusterSimulator:
                 break  # fleet drained and the stream is exhausted
 
             # Runaway guard, checked only while work remains so a run that
-            # drains in exactly the budget still returns.  Each replica gets
-            # the single-accelerator step budget (the fleet cap scales with
-            # its size, matching ServingSimulator per replica).
-            fleet_steps = sum(replica.steps for replica in self.replicas)
-            if fleet_steps >= MAX_STEPS * len(self.replicas):
+            # drains in exactly the budget still returns.
+            if fleet_steps >= step_budget:
                 reports = [
                     build_serve_stall_report(
                         r.scheduler,
-                        f"fleet exceeded {MAX_STEPS * len(self.replicas)} steps "
-                        f"without draining",
+                        f"fleet exceeded {step_budget} steps without draining",
                         now_s,
                         r.steps,
                         len(r.completed),
                         replica_id=r.replica_id,
                     )
-                    for r in self.replicas
+                    for r in replicas
                 ]
                 raise LivelockError(
                     "\n".join(report.render() for report in reports),
                     report=reports[0],
                 )
-            now_s = min(event_times)
+            now_s = next_s
 
             # Step-ends resolve before same-instant arrivals, so a request
             # arriving exactly as a batch slot frees observes the freed slot.
-            for replica in self.replicas:
-                if replica.step_end_s is not None and replica.step_end_s <= now_s:
+            for replica in replicas:
+                t = replica.step_end_s
+                if t is not None and t <= now_s:
                     for active in replica.finish_step():
                         follow_up = self.arrival.on_complete(active.request, now_s)
                         if follow_up is not None:
@@ -559,7 +566,8 @@ class ClusterSimulator:
                                 pending,
                                 (follow_up.arrival_s, follow_up.request_id, follow_up),
                             )
-            collect_handoffs(now_s)
+            if has_prefill:
+                collect_handoffs(now_s)
 
         replica_metrics = tuple(replica.metrics() for replica in self.replicas)
         if tracer.enabled:

@@ -1,312 +1,51 @@
 """Cluster sweep grids: fleet-sizing and routing studies through the executor.
 
-A :class:`ClusterSweepSpec` names a cartesian grid -- workloads x arrivals x
-rates x replica counts x routers x schedulers x prefill chunks x policies --
-and expands it into :class:`ClusterPoint` job descriptors.  ClusterPoints satisfy the same
-contract as :class:`~repro.sweep.spec.SweepPoint` (``key()`` / ``label`` /
-``describe()`` / ``config_dict()`` / ``execute()``), so they run through the
-existing :func:`repro.sweep.executor.run_sweep` process pool and persist into
-the same JSON-lines :class:`~repro.sweep.store.ResultStore` under the
-``"cluster"`` kind tag, resumable and content-deduplicated exactly like kernel
-and serve sweeps -- the three kinds mix freely in one store.
+A :class:`ClusterSweepSpec` is a serving sweep grid
+(:class:`~repro.serve.sweep.ServingSweepSpec`) with two more axes after the
+rate -- replica counts and routers -- and expands into the same
+:class:`~repro.serve.sweep.ServingPoint` job descriptors, stored under the
+``"cluster"`` kind tag.  Kernel, serve and cluster points mix freely in one
+result store.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
-from repro.cluster.metrics import ClusterMetrics
-from repro.cluster.scenario import ClusterScenario
+from repro.cluster.scenario import DEFAULT_ROUTER, ClusterScenario
 from repro.common.errors import ConfigError
-from repro.config.scale import ScaleTier, parse_tier
-from repro.registry import (
-    ARRIVALS,
-    PREEMPTIONS,
-    ROUTERS,
-    SCHEDULERS,
-    WORKLOADS,
-    resolve_policy,
-    resolve_system,
-)
-from repro.serve.kvcache import DEFAULT_SWAP_MS
-from repro.serve.request import DEFAULT_OUTPUT_TOKENS, DEFAULT_PROMPT_TOKENS
-from repro.serve.scenario import DEFAULT_SCHEDULER
-from repro.serve.schedpolicy import DEFAULT_PREFILL_CHUNK
+from repro.registry import ROUTERS
+from repro.serve.sweep import ServingSweepSpec
 
 
 @dataclass(frozen=True, slots=True)
-class ClusterPoint:
-    """One fully described cluster job, executable in any worker process.
-
-    The scenario names its components through the registries (routers
-    bootstrap on first lookup in each worker), so the point pickles small and
-    needs no pre-resolved configuration.
-    """
-
-    label: str
-    scenario: ClusterScenario
-    #: Sorted (axis, value) pairs locating the point in its grid.
-    coords: tuple[tuple[str, object], ...] = ()
-    #: Lazily memoized content hash.
-    _key: str | None = field(default=None, init=False, repr=False, compare=False)
-
-    def config_dict(self) -> dict:
-        return {"kind": "cluster", "scenario": self.scenario.config_dict()}
-
-    def key(self) -> str:
-        """Content hash identifying this cluster simulation (labels excluded)."""
-
-        if self._key is None:
-            # Lazy memo of a derived field (compare=False): identity unchanged.
-            object.__setattr__(self, "_key", self.scenario.key())  # repro: noqa[API001]
-        return self._key
-
-    def coord(self, axis: str, default=None):
-        for name, value in self.coords:
-            if name == axis:
-                return value
-        return default
-
-    def describe(self) -> str:
-        s = self.scenario
-        fleet = s.canonical_disaggregated()
-        if fleet is None:
-            fleet = s.replicas
-        return (
-            f"{self.label}: cluster {s.workload} x{fleet} {s.router} "
-            f"{s.scheduler} {s.arrival}@{s.rate:g} n={s.num_requests} "
-            f"b<={s.max_batch} seed={s.seed}"
-        )
-
-    def execute(self) -> ClusterMetrics:
-        """Run the cluster simulation (the executor's worker entry point)."""
-
-        return replace(self.scenario.run(), label=self.label)
-
-
-@dataclass(frozen=True, slots=True)
-class ClusterSweepSpec:
+class ClusterSweepSpec(ServingSweepSpec):
     """A declarative cartesian grid of cluster points.
 
-    Workloads, arrival processes, routers and policies are registry names;
-    ``rates`` is the traffic axis and ``replica_counts`` the fleet-size axis.
-    Expansion order is workload -> arrival -> rate -> replicas -> router ->
-    policy.  Grid sweeps are homogeneous (one ``system`` preset broadcast to
-    every replica); heterogeneous fleets are a per-scenario concern --
+    ``replica_counts`` is the fleet-size axis and ``routers`` the routing
+    axis.  Expansion order is workload -> arrival -> rate -> replicas ->
+    router -> scheduler -> chunk -> policy -> kv-budget -> kv-block ->
+    preemption.  Grid sweeps are homogeneous (one ``system`` preset broadcast
+    to every replica); heterogeneous fleets are a per-scenario concern --
     construct :class:`ClusterScenario` directly for those.
     """
 
-    workloads: tuple[str, ...]
-    rates: tuple[float, ...]
+    AXES = (
+        *ServingSweepSpec.AXES[:3],
+        ("replica_counts", "replicas", "fleet sizes"),
+        ("routers", "router", "routers"),
+        *ServingSweepSpec.AXES[3:],
+    )
+
     replica_counts: tuple[int, ...] = (2,)
-    routers: tuple[str, ...] = ("round-robin",)
-    arrivals: tuple[str, ...] = ("poisson",)
-    schedulers: tuple[str, ...] = (DEFAULT_SCHEDULER,)
-    prefill_chunks: tuple[int, ...] = (DEFAULT_PREFILL_CHUNK,)
-    policies: tuple[str, ...] = ("unopt",)
-    #: KV-budget axis: token counts and/or "system"; (None,) keeps KV off.
-    kv_budgets: tuple[int | str | None, ...] = (None,)
-    #: Paged-KV block-size axis (tokens per block).
-    kv_blocks: tuple[int, ...] = (1,)
-    #: Preemption-policy axis (PREEMPTIONS registry names).
-    preemptions: tuple[str, ...] = ("recompute",)
-    #: One-way KV swap transfer latency (ms), applied to every point.
-    kv_swap_ms: float = DEFAULT_SWAP_MS
-    num_requests: int = 32
-    max_batch: int = 4
-    seed: int = 0
-    prefill_cost: bool = True
-    system: str = "table5"
-    tier: ScaleTier = ScaleTier.CI
-    prompt_tokens: tuple[int, int] = DEFAULT_PROMPT_TOKENS
-    output_tokens: tuple[int, int] = DEFAULT_OUTPUT_TOKENS
-    slo_ttft_ms: float | None = None
-    slo_latency_ms: float | None = None
-    max_cycles: int | None = None
-    #: Telemetry sampling cadence (simulated ms) applied to every point; None
-    #: keeps sampling off and every point's content hash pre-telemetry.
-    telemetry_ms: float | None = None
+    routers: tuple[str, ...] = (DEFAULT_ROUTER,)
 
     def validate(self) -> "ClusterSweepSpec":
-        for axis in ("workloads", "rates", "replica_counts", "routers", "arrivals",
-                     "schedulers", "prefill_chunks", "policies", "kv_budgets",
-                     "kv_blocks", "preemptions"):
-            if not getattr(self, axis):
-                raise ConfigError(f"ClusterSweepSpec.{axis} must be non-empty")
-        for workload in self.workloads:
-            WORKLOADS.get(workload)  # raises ConfigError listing known names
-        for arrival in self.arrivals:
-            ARRIVALS.get(arrival)
         for router in self.routers:
             ROUTERS.get(router)
-        for scheduler in self.schedulers:
-            SCHEDULERS.get(scheduler)
-        for policy in self.policies:
-            resolve_policy(policy)
-        for preemption in self.preemptions:
-            PREEMPTIONS.get(preemption)
-        for budget in self.kv_budgets:
-            if budget is None or budget == "system":
-                continue
-            if not isinstance(budget, int) or budget <= 0:
-                raise ConfigError(
-                    f'kv_budgets entries must be positive token counts, "system" '
-                    f"or None, got {budget!r}"
-                )
-        if any(b <= 0 for b in self.kv_blocks):
-            raise ConfigError("kv_blocks must be positive")
-        if self.kv_swap_ms < 0:
-            raise ConfigError("kv_swap_ms must be non-negative")
-        resolve_system(self.system)
-        if any(r <= 0 for r in self.rates):
-            raise ConfigError("rates must be positive")
         if any(n <= 0 for n in self.replica_counts):
             raise ConfigError("replica_counts must be positive")
-        if any(c <= 0 for c in self.prefill_chunks):
-            raise ConfigError("prefill_chunks must be positive")
-        if self.num_requests <= 0:
-            raise ConfigError("num_requests must be positive")
-        if self.max_batch <= 0:
-            raise ConfigError("max_batch must be positive")
-        if self.telemetry_ms is not None and self.telemetry_ms <= 0:
-            raise ConfigError("telemetry_ms must be positive")
-        return self
+        return ServingSweepSpec.validate(self)
 
-    @property
-    def num_points(self) -> int:
-        return (
-            len(self.workloads) * len(self.arrivals) * len(self.rates)
-            * len(self.replica_counts) * len(self.routers)
-            * len(self.schedulers) * len(self.prefill_chunks) * len(self.policies)
-            * len(self.kv_budgets) * len(self.kv_blocks) * len(self.preemptions)
-        )
-
-    def scenarios(self) -> tuple[ClusterScenario, ...]:
-        """The grid as :class:`ClusterScenario` objects, in expansion order."""
-
-        self.validate()
-        return tuple(
-            ClusterScenario(
-                workload=workload,
-                arrival=arrival,
-                rate=rate,
-                num_requests=self.num_requests,
-                replicas=replicas,
-                router=router,
-                max_batch=self.max_batch,
-                seed=self.seed,
-                policy=policy,
-                scheduler=scheduler,
-                prefill_chunk=chunk,
-                prefill_cost=self.prefill_cost,
-                systems=(self.system,),
-                tier=self.tier,
-                prompt_tokens=self.prompt_tokens,
-                output_tokens=self.output_tokens,
-                slo_ttft_ms=self.slo_ttft_ms,
-                slo_latency_ms=self.slo_latency_ms,
-                max_cycles=self.max_cycles,
-                telemetry_ms=self.telemetry_ms,
-                kv_budget=kv_budget,
-                kv_block=kv_block,
-                preemption=preemption,
-                kv_swap_ms=self.kv_swap_ms,
-            )
-            for workload in self.workloads
-            for arrival in self.arrivals
-            for rate in self.rates
-            for replicas in self.replica_counts
-            for router in self.routers
-            for scheduler in self.schedulers
-            for chunk in self.prefill_chunks
-            for policy in self.policies
-            for kv_budget in self.kv_budgets
-            for kv_block in self.kv_blocks
-            for preemption in self.preemptions
-        )
-
-    def expand(self) -> tuple[ClusterPoint, ...]:
-        """Expand the grid into cluster points, in deterministic order."""
-
-        points = []
-        for scenario in self.scenarios():
-            coords = {
-                "model": scenario.workload,
-                "arrival": scenario.arrival,
-                "rate": scenario.rate,
-                "replicas": scenario.replicas,
-                "router": scenario.router,
-                "scheduler": scenario.scheduler,
-                "prefill_chunk": scenario.prefill_chunk,
-                "policy": scenario.policy,
-                "tier": scenario.tier.name,
-                "kv_budget": scenario.kv_budget,
-                "kv_block": scenario.kv_block,
-                "preemption": scenario.preemption,
-            }
-            points.append(
-                ClusterPoint(
-                    label=f"{scenario.display_label}@{scenario.rate:g}",
-                    scenario=scenario,
-                    coords=tuple(sorted(coords.items(), key=lambda kv: kv[0])),
-                )
-            )
-        return tuple(points)
-
-    # -- (de)serialization for CLI spec files -------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "workloads": list(self.workloads),
-            "rates": list(self.rates),
-            "replica_counts": list(self.replica_counts),
-            "routers": list(self.routers),
-            "arrivals": list(self.arrivals),
-            "schedulers": list(self.schedulers),
-            "prefill_chunks": list(self.prefill_chunks),
-            "policies": list(self.policies),
-            "num_requests": self.num_requests,
-            "max_batch": self.max_batch,
-            "seed": self.seed,
-            "prefill_cost": self.prefill_cost,
-            "system": self.system,
-            "tier": self.tier.name,
-            "prompt_tokens": list(self.prompt_tokens),
-            "output_tokens": list(self.output_tokens),
-            "slo_ttft_ms": self.slo_ttft_ms,
-            "slo_latency_ms": self.slo_latency_ms,
-            "max_cycles": self.max_cycles,
-            "telemetry_ms": self.telemetry_ms,
-            "kv_budgets": list(self.kv_budgets),
-            "kv_blocks": list(self.kv_blocks),
-            "preemptions": list(self.preemptions),
-            "kv_swap_ms": self.kv_swap_ms,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClusterSweepSpec":
-        return cls(
-            workloads=tuple(data["workloads"]),
-            rates=tuple(data["rates"]),
-            replica_counts=tuple(data.get("replica_counts", (2,))),
-            routers=tuple(data.get("routers", ("round-robin",))),
-            arrivals=tuple(data.get("arrivals", ("poisson",))),
-            schedulers=tuple(data.get("schedulers", (DEFAULT_SCHEDULER,))),
-            prefill_chunks=tuple(data.get("prefill_chunks", (DEFAULT_PREFILL_CHUNK,))),
-            policies=tuple(data.get("policies", ("unopt",))),
-            num_requests=data.get("num_requests", 32),
-            max_batch=data.get("max_batch", 4),
-            seed=data.get("seed", 0),
-            prefill_cost=data.get("prefill_cost", True),
-            system=data.get("system", "table5"),
-            tier=parse_tier(data.get("tier", "CI")),
-            prompt_tokens=tuple(data.get("prompt_tokens", DEFAULT_PROMPT_TOKENS)),
-            output_tokens=tuple(data.get("output_tokens", DEFAULT_OUTPUT_TOKENS)),
-            slo_ttft_ms=data.get("slo_ttft_ms"),
-            slo_latency_ms=data.get("slo_latency_ms"),
-            max_cycles=data.get("max_cycles"),
-            telemetry_ms=data.get("telemetry_ms"),
-            kv_budgets=tuple(data.get("kv_budgets", (None,))),
-            kv_blocks=tuple(data.get("kv_blocks", (1,))),
-            preemptions=tuple(data.get("preemptions", ("recompute",))),
-            kv_swap_ms=data.get("kv_swap_ms", DEFAULT_SWAP_MS),
-        ).validate()
+    def scenario(self, **cell) -> ClusterScenario:
+        return ClusterScenario(systems=(self.system,), **self._constants(), **cell)

@@ -57,7 +57,7 @@ from repro.serve.scheduler import (
 )
 from repro.serve.simulator import ServeStallReport, ServingSimulator
 from repro.serve.stepcost import LinearStepCostModel, SimStepCostModel, StepCostModel
-from repro.serve.sweep import ServePoint, ServeSweepSpec
+from repro.serve.sweep import ServeSweepSpec, ServingPoint
 
 __all__ = [
     "ArrivalProcess",
@@ -79,11 +79,11 @@ __all__ = [
     "RequestSampler",
     "SchedulerPolicy",
     "ServeMetrics",
-    "ServePoint",
     "ServeSLO",
     "ServeScenario",
     "ServeStallReport",
     "ServeSweepSpec",
+    "ServingPoint",
     "ServingSimulator",
     "SwapPreemption",
     "SimStepCostModel",

@@ -7,6 +7,11 @@ prefill chunk budget, seed, SLOs).  Everything resolves through
 :mod:`repro.registry`, so a workload, arrival process or scheduler policy
 registered anywhere is immediately servable from the Python API, the
 ``llamcat serve`` subcommand and serve sweep grids.
+
+A serving point is a one-replica fleet: validation, KV resolution and
+simulator construction all go through the equivalent
+:class:`~repro.cluster.scenario.ClusterScenario`, so the two scenario kinds
+cannot drift apart.
 """
 
 from __future__ import annotations
@@ -14,32 +19,20 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields
-from typing import NamedTuple
+from typing import TYPE_CHECKING, ClassVar
 
-from repro.common.errors import ConfigError
-from repro.config.policies import PolicyConfig
 from repro.config.scale import ScaleTier, parse_tier, scale_system
 from repro.config.system import SystemConfig
-from repro.config.workload import WorkloadConfig
-from repro.registry import (
-    resolve_arrival,
-    resolve_policy,
-    resolve_scheduler,
-    resolve_system,
-    resolve_workload,
-)
+from repro.registry import resolve_system
 from repro.serve.kvcache import DEFAULT_SWAP_MS, KVCacheConfig
 from repro.serve.metrics import ServeMetrics, ServeSLO
-from repro.serve.request import (
-    DEFAULT_OUTPUT_TOKENS,
-    DEFAULT_PROMPT_TOKENS,
-    RequestSampler,
-)
+from repro.serve.request import DEFAULT_OUTPUT_TOKENS, DEFAULT_PROMPT_TOKENS
 from repro.serve.schedpolicy import DEFAULT_PREFILL_CHUNK
-from repro.serve.scheduler import SEQ_BUCKET_FLOOR, BatchConfig
 from repro.serve.simulator import ServingSimulator
-from repro.serve.stepcost import SimStepCostModel
 from repro.sim.runner import clear_trace_cache
+
+if TYPE_CHECKING:
+    from repro.cluster.scenario import ClusterScenario
 
 #: The system name a ServeScenario uses when none is given (matches
 #: :data:`repro.api.DEFAULT_SYSTEM`).
@@ -49,17 +42,12 @@ DEFAULT_SERVE_SYSTEM = "table5"
 DEFAULT_SCHEDULER = "decode-first"
 
 
-class ResolvedServeScenario(NamedTuple):
-    """Concrete, tier-scaled configuration objects behind a ServeScenario."""
-
-    system: SystemConfig
-    workload: WorkloadConfig
-    policy: PolicyConfig
-
-
 @dataclass(frozen=True, slots=True)
 class ServeScenario:
     """One serving simulation point over a stream of decode requests."""
+
+    #: Result-store kind tag of the metrics this point produces.
+    result_kind: ClassVar[str] = ServeMetrics.result_kind
 
     workload: str
     arrival: str = "poisson"
@@ -107,44 +95,32 @@ class ServeScenario:
     label: str | None = None
 
     # -- validation / resolution -------------------------------------------------------
-    def validate(self) -> "ServeScenario":
-        if self.rate <= 0:
-            raise ConfigError(f"rate must be positive, got {self.rate}")
-        if self.num_requests <= 0:
-            raise ConfigError(f"num_requests must be positive, got {self.num_requests}")
-        if self.max_batch <= 0:
-            raise ConfigError(f"max_batch must be positive, got {self.max_batch}")
-        if self.prefill_chunk <= 0:
-            raise ConfigError(f"prefill_chunk must be positive, got {self.prefill_chunk}")
-        if self.telemetry_ms is not None and self.telemetry_ms <= 0:
-            raise ConfigError(f"telemetry_ms must be positive, got {self.telemetry_ms}")
-        if not isinstance(self.tier, ScaleTier):
-            raise ConfigError(f"tier must be a ScaleTier, got {self.tier!r}")
-        self.slo().validate()
-        resolve_arrival(self.arrival)  # raises ConfigError on unknown names
-        resolve_scheduler(self.scheduler)
-        resolved = self.resolve()
-        if self.kv_budget is not None:
-            if not self.prefill_cost:
-                raise ConfigError(
-                    "kv_budget needs prefill_cost=True: recompute preemption "
-                    "re-prefills evicted context"
-                )
-            self.kv_config(resolved.system).validate()
-        return self
+    def fleet(self) -> "ClusterScenario":
+        """The equivalent one-replica fleet behind a round-robin router.
 
-    def resolve(self) -> ResolvedServeScenario:
-        """Resolve names through the registries and tier-scale the system.
-
-        The workload keeps its builder-default sequence length: per-step
-        contexts come from the request stream, so only the shape family
-        (heads, head_dim, operator) matters here.
+        The single source of truth for validating, resolving and building
+        this point; its metrics are this point's metrics.
         """
 
-        system = scale_system(resolve_system(self.system), self.tier)
-        workload = resolve_workload(self.workload)
-        policy = resolve_policy(self.policy)
-        return ResolvedServeScenario(system=system, workload=workload, policy=policy)
+        # The cluster layer builds on serve's modules, so import it lazily.
+        from repro.cluster.scenario import ClusterScenario
+
+        shared = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("system", "label")
+        }
+        return ClusterScenario(
+            **shared,
+            replicas=1,
+            router="round-robin",
+            systems=(self.system,),
+            label=self.display_label,
+        )
+
+    def validate(self) -> "ServeScenario":
+        self.fleet().validate()
+        return self
 
     def slo(self) -> ServeSLO:
         return ServeSLO(ttft_ms=self.slo_ttft_ms, latency_ms=self.slo_latency_ms)
@@ -157,29 +133,19 @@ class ServeScenario:
         already-resolved system to skip a second registry resolution.
         """
 
-        if self.kv_budget is None:
-            return KVCacheConfig()
-        if self.kv_budget == "system":
-            if system is None:
-                system = self.resolve().system
-            budget = system.kv_budget_tokens
-        elif isinstance(self.kv_budget, int):
-            budget = self.kv_budget
-        else:
-            raise ConfigError(
-                f'kv_budget must be a token count, "system" or None, '
-                f"got {self.kv_budget!r}"
-            )
-        return KVCacheConfig(
-            budget_tokens=budget,
-            block_tokens=self.kv_block,
-            preemption=self.preemption,
-            swap_ms=self.kv_swap_ms,
-        )
+        if system is None and self.kv_budget == "system":
+            system = scale_system(resolve_system(self.system), self.tier)
+        return self.fleet().kv_config(system)
 
     @property
     def display_label(self) -> str:
         return self.label if self.label is not None else f"{self.policy}@{self.arrival}"
+
+    def describe(self) -> str:
+        return (
+            f"serve {self.workload} {self.arrival}@{self.rate:g} "
+            f"{self.scheduler} n={self.num_requests} b<={self.max_batch} seed={self.seed}"
+        )
 
     # -- identity ----------------------------------------------------------------------
     def config_dict(self) -> dict:
@@ -268,37 +234,18 @@ class ServeScenario:
     def build_simulator(self) -> ServingSimulator:
         """Assemble the arrival process, cost model and scheduler for this point."""
 
-        resolved = self.resolve()
-        sampler = RequestSampler(
-            seed=self.seed,
-            prompt_tokens=self.prompt_tokens,
-            output_tokens=self.output_tokens,
-        )
-        arrival = resolve_arrival(self.arrival)(
-            sampler, self.rate, self.num_requests, **dict(self.arrival_params)
-        )
-        cost_model = SimStepCostModel(
-            system=resolved.system,
-            workload=resolved.workload,
-            policy=resolved.policy,
-            tier=self.tier,
-            max_cycles=self.max_cycles,
-            seq_bucket_floor=SEQ_BUCKET_FLOOR,
-        )
+        fleet = self.fleet().build_simulator()
+        (replica,) = fleet.replicas
         return ServingSimulator(
-            arrival=arrival,
-            cost_model=cost_model,
-            frequency_ghz=resolved.system.frequency_ghz,
-            batch=BatchConfig(
-                max_batch=self.max_batch,
-                prefill=self.prefill_cost,
-                kv=self.kv_config(resolved.system),
-            ),
-            policy=resolve_scheduler(self.scheduler)(prefill_chunk=self.prefill_chunk),
-            slo=self.slo(),
-            label=self.display_label,
-            workload_name=self.workload,
-            telemetry_ms=self.telemetry_ms,
+            arrival=fleet.arrival,
+            cost_model=replica.cost_model,
+            frequency_ghz=replica.frequency_ghz,
+            batch=replica.scheduler.config,
+            policy=replica.policy,
+            slo=fleet.slo,
+            label=fleet.label,
+            workload_name=fleet.workload_name,
+            telemetry_ms=fleet.telemetry_ms,
         )
 
     def run(self, tracer=None, profiler=None, probe=None) -> ServeMetrics:

@@ -1,35 +1,25 @@
-"""The request-level serving simulator.
+"""The single-accelerator serving simulator: a one-replica cluster.
 
-:class:`ServingSimulator` composes the serve components -- an arrival process,
-the continuous-batching scheduler, a step-planning policy and a step-cost
-model -- into an event loop whose inner step is one cycle-engine evaluation:
+:class:`ServingSimulator` serves one request stream on one accelerator by
+running the fleet event loop of :mod:`repro.cluster.simulator` with exactly
+one :class:`~repro.cluster.simulator.ReplicaSim` behind a round-robin router,
+then projecting the fleet metrics onto the :class:`ServeMetrics` format.
+There is one serving loop in the repo, so serve and cluster runs can never
+disagree on how a step is planned, priced or completed.
 
-1. admit arrived requests into free batch slots (FCFS);
-2. ask the step-planning policy for this iteration's mix of prefill chunks
-   and decode tokens, and the cost model for its cycles (decode shape plus
-   chunk-bucketed prefill shape);
-3. advance the clock, apply the plan -- prompt chunks shrink
-   ``prefill_remaining``, decodes credit one output token -- and evict the
-   finished requests (notifying the arrival process, which closes the loop
-   for closed-loop traffic).
-
-When the batch is empty the clock jumps to the next arrival, so idle gaps cost
-nothing to simulate.  A plan whose total cost is zero cycles (a prefill-free
-configuration) is applied instantly without consuming a step, which is what
-makes ``decode-first`` with prefill cost disabled bit-for-bit identical to the
-legacy decode-only scheduler.  The loop is fully deterministic: a seeded
-arrival stream plus a deterministic cost model reproduces every timestamp
-bit-for-bit.
+This module also holds the step primitives every replica shares --
+:func:`plan_cycles` (what one planned iteration costs) and
+:func:`complete_step` (how it completes) -- and the loop's guards: the
+:data:`MAX_STEPS` budget and the structured :class:`ServeStallReport`.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from repro.common.errors import ConfigError, LivelockError
-from repro.obs.telemetry import TelemetryRecorder
-from repro.obs.tracer import CAT_STEP, NULL_TRACER, Tracer, trace_request
+from repro.common.errors import LivelockError
+from repro.obs.tracer import Tracer
 from repro.serve.arrival import ArrivalProcess
 from repro.serve.metrics import RequestMetrics, ServeMetrics, ServeSLO
 from repro.serve.schedpolicy import DecodeFirstPolicy, SchedulerPolicy, StepPlan
@@ -42,12 +32,10 @@ from repro.serve.scheduler import (
 )
 from repro.serve.stepcost import StepCostModel
 
-#: Hard cap on scheduler iterations -- a guard against a stream that can never
-#: drain (e.g. a zero-cost model paired with an infinite closed loop).
+#: Hard cap on scheduler iterations per replica -- a guard against a stream
+#: that can never drain (e.g. a zero-cost model paired with an infinite closed
+#: loop).  The fleet loop reads it through this module at run start.
 MAX_STEPS = 10_000_000
-
-#: Trace pid of the per-request swimlanes (the accelerator itself is pid 0).
-REQUESTS_PID = 1
 
 logger = logging.getLogger(__name__)
 
@@ -158,9 +146,7 @@ def complete_step(
     planned decode, stamps first-token times, evicts the requests whose output
     budget is exhausted and returns them paired with their finished
     :class:`RequestMetrics` record.  The one definition of step-completion
-    semantics, shared by the single-accelerator loop here and every
-    :class:`~repro.cluster.simulator.ReplicaSim` in a cluster fleet -- the two
-    must never disagree on how a step completes.
+    semantics, used by every :class:`~repro.cluster.simulator.ReplicaSim`.
     """
 
     for active, chunk in plan.prefill:
@@ -217,10 +203,6 @@ class ServingSimulator:
         workload_name: str = "workload",
         telemetry_ms: float | None = None,
     ) -> None:
-        if frequency_ghz <= 0:
-            raise ConfigError(f"frequency_ghz must be positive, got {frequency_ghz}")
-        if telemetry_ms is not None and telemetry_ms <= 0:
-            raise ConfigError(f"telemetry_ms must be positive, got {telemetry_ms}")
         self.arrival = arrival
         self.cost_model = cost_model
         self.frequency_ghz = frequency_ghz
@@ -234,137 +216,38 @@ class ServingSimulator:
         #: populated by :meth:`run`, never serialized into metrics.
         self.profile: dict = {}
 
-    def _cycles_to_seconds(self, cycles: int) -> float:
-        return cycles / (self.frequency_ghz * 1e9)
-
     def run(self, tracer: Tracer | None = None, probe=None) -> ServeMetrics:
-        tracer = NULL_TRACER if tracer is None else tracer
-        if probe is not None:
-            # The determinism probe (repro.analysis.runtime.StepProbe) digests
-            # scheduler state per step; it reads the arrival's RNG position
-            # through this attribute rather than per-call plumbing.
-            probe.arrival = self.arrival
-        recorder = (
-            TelemetryRecorder(interval_s=self.telemetry_ms * 1e-3, num_replicas=1)
-            if self.telemetry_ms is not None
-            else None
+        # The fleet loop imports this module's step primitives; importing it
+        # here, not at module level, keeps the two modules acyclic.
+        from repro.cluster.router import RoundRobinRouter
+        from repro.cluster.simulator import ClusterSimulator, ReplicaSim
+
+        replica = ReplicaSim(
+            replica_id=0,
+            cost_model=self.cost_model,
+            frequency_ghz=self.frequency_ghz,
+            batch=self.batch_config,
+            policy=self.policy,
         )
-        if tracer.enabled:
-            tracer.name_process(0, f"accelerator [{self.label}]")
-            tracer.name_thread(0, 0, "scheduler")
-            tracer.name_process(REQUESTS_PID, "requests")
-        scheduler = ContinuousBatchScheduler(config=self.batch_config)
-        for request in self.arrival.initial():
-            scheduler.enqueue(request.validate())
-        if not scheduler.has_work:
-            raise ConfigError(
-                f"arrival process {self.arrival.name!r} produced no requests"
-            )
+        fleet = ClusterSimulator(
+            arrival=self.arrival,
+            router=RoundRobinRouter(1),
+            replicas=[replica],
+            slo=self.slo,
+            label=self.label,
+            workload_name=self.workload_name,
+            telemetry_ms=self.telemetry_ms,
+        )
+        try:
+            metrics = fleet.run(tracer=tracer, probe=probe)
+        except LivelockError as exc:
+            if not isinstance(exc.report, ServeStallReport):
+                raise
+            # Without a replica id the report renders as a serve-loop stall.
+            report = replace(exc.report, replica_id=None)
+            raise LivelockError(report.render(), report=report) from None
 
-        now_s = 0.0
-        steps = 0
-        total_cycles = 0
-        prefill_tokens = 0
-        prefill_steps = 0
-        kv_memory_bound_s = 0.0
-        first_arrival_s = min(r.arrival_s for r in scheduler.waiting)
-        completed: list[RequestMetrics] = []
-
-        while scheduler.has_work:
-            scheduler.admit(now_s)
-            if not scheduler.running:
-                # Idle: jump straight to the next arrival.
-                next_arrival = scheduler.next_arrival_s()
-                assert next_arrival is not None  # has_work and nothing running
-                if next_arrival <= now_s:
-                    # An already-arrived request was refused admission into an
-                    # empty batch; jumping to "the next arrival" would never
-                    # advance the clock again.  Raise instead of spinning.
-                    report = build_serve_stall_report(
-                        scheduler,
-                        "admission blocked with an empty batch",
-                        now_s,
-                        steps,
-                        len(completed),
-                    )
-                    raise LivelockError(report.render(), report=report)
-                if recorder is not None:
-                    recorder.observe(0, now_s, len(scheduler.waiting), 0)
-                now_s = next_arrival
-                continue
-
-            preempted = scheduler.ensure_kv_growth(now_s)
-
-            if steps >= MAX_STEPS:
-                report = build_serve_stall_report(
-                    scheduler,
-                    f"exceeded {MAX_STEPS} steps without draining",
-                    now_s,
-                    steps,
-                    len(completed),
-                )
-                raise LivelockError(report.render(), report=report)
-
-            plan = self.policy.plan(scheduler.running)
-            cycles = plan_cycles(
-                self.cost_model, plan, self.batch_config.seq_bucket_floor
-            )
-            if cycles < 0:
-                raise ConfigError(f"step cost model returned {cycles} cycles")
-            if cycles == 0:
-                if plan.decode:
-                    raise ConfigError("step cost model priced a decode step at 0 cycles")
-                # Free prefill completes instantly: apply the chunks without
-                # advancing the clock or consuming an iteration (the legacy
-                # decode-only timeline).  Progress is guaranteed -- validated
-                # plans only carry positive chunks -- so this cannot spin.
-                complete_step(scheduler, plan, now_s)
-                continue
-            steps += 1
-            total_cycles += cycles
-            if plan.prefill:
-                prefill_steps += 1
-                prefill_tokens += plan.prefill_tokens
-            step_start_s = now_s
-            queue_depth = len(scheduler.waiting)
-            running = len(scheduler.running)
-            if probe is not None:
-                probe.record_step(
-                    replica_id=0,
-                    step=steps,
-                    start_s=step_start_s,
-                    scheduler=scheduler,
-                    plan=plan,
-                    cycles=cycles,
-                )
-            now_s += self._cycles_to_seconds(cycles)
-            if scheduler.kv_blocked or preempted:
-                # A step whose admission stalled on KV memory (or that had to
-                # preempt to fund decode growth) is time the run spent
-                # memory-bound rather than batch-slot-bound.
-                kv_memory_bound_s += now_s - step_start_s
-            if tracer.enabled:
-                args = plan.trace_args()
-                args["cycles"] = cycles
-                if plan.decode:
-                    args["seq_bucket"] = bucket_context(
-                        plan.decode_context(), self.batch_config.seq_bucket_floor
-                    )
-                tracer.complete("step", CAT_STEP, 0, 0, step_start_s, now_s, args=args)
-            if recorder is not None:
-                recorder.on_step(
-                    0, step_start_s, now_s, queue_depth, running, len(plan.decode)
-                )
-
-            for active, record in complete_step(scheduler, plan, now_s):
-                completed.append(record)
-                if tracer.enabled:
-                    trace_request(tracer, record, REQUESTS_PID)
-                follow_up = self.arrival.on_complete(active.request, now_s)
-                if follow_up is not None:
-                    scheduler.enqueue(follow_up.validate())
-
-        completed.sort(key=lambda r: r.request_id)
+        completed = metrics.replicas[0].requests
         meta = {
             "arrival": self.arrival.name,
             "max_batch": self.batch_config.max_batch,
@@ -375,47 +258,43 @@ class ServingSimulator:
             # runs keep the exact legacy meta (golden fixture compatibility).
             meta["scheduler"] = self.policy.name
             meta.update(self.policy.meta())
-            meta["prefill_steps"] = prefill_steps
-            meta["prefill_tokens"] = prefill_tokens
-        if self.batch_config.kv.enabled:
+            meta["prefill_steps"] = replica.prefill_steps
+            meta["prefill_tokens"] = replica.prefill_tokens
+        kv = replica.scheduler.kv
+        if kv is not None:
             # Emitted only when the KV memory model is on, keeping the meta of
             # every legacy (unbounded-memory) run byte-identical.
-            assert scheduler.kv is not None
-            duration_s = max(0.0, now_s - first_arrival_s)
+            preemptions = replica.scheduler.preemptions
             meta["kv_budget_tokens"] = self.batch_config.kv.budget_tokens
             meta["kv_block_tokens"] = self.batch_config.kv.block_tokens
             meta["preemption"] = self.batch_config.kv.preemption
-            meta["preemptions"] = scheduler.preemptions
-            meta["preemption_rate"] = scheduler.preemptions / max(1, len(completed))
-            meta["kv_peak_utilization"] = scheduler.kv.peak_utilization
-            meta["kv_peak_fragmentation_tokens"] = (
-                scheduler.kv.peak_fragmentation_tokens
-            )
-            meta["kv_memory_bound_s"] = kv_memory_bound_s
+            meta["preemptions"] = preemptions
+            meta["preemption_rate"] = preemptions / max(1, len(completed))
+            meta["kv_peak_utilization"] = kv.peak_utilization
+            meta["kv_peak_fragmentation_tokens"] = kv.peak_fragmentation_tokens
+            meta["kv_memory_bound_s"] = replica.mem_bound_s
             meta["kv_memory_bound_frac"] = (
-                kv_memory_bound_s / duration_s if duration_s > 0 else 0.0
+                replica.mem_bound_s / metrics.duration_s
+                if metrics.duration_s > 0
+                else 0.0
             )
-        table_size = getattr(self.cost_model, "table_size", None)
-        if table_size is not None:
-            meta["step_cost_entries"] = table_size
-            meta["step_simulations"] = getattr(self.cost_model, "simulations", table_size)
+        for key in ("step_cost_entries", "step_simulations"):
+            if key in metrics.meta:
+                meta[key] = metrics.meta[key]
         self.profile = {"step_cost": self.cost_model.profile()}
         logger.debug(
             "serve run [%s]: %d steps, %d requests, step_cost=%s",
-            self.label, steps, len(completed), self.profile["step_cost"],
-        )
-        telemetry = (
-            recorder.build(first_arrival_s, now_s) if recorder is not None else None
+            self.label, replica.steps, len(completed), self.profile["step_cost"],
         )
         return ServeMetrics(
             label=self.label,
             workload=self.workload_name,
             frequency_ghz=self.frequency_ghz,
-            duration_s=max(0.0, now_s - first_arrival_s),
-            steps=steps,
-            total_cycles=total_cycles,
-            requests=tuple(completed),
+            duration_s=metrics.duration_s,
+            steps=replica.steps,
+            total_cycles=replica.total_cycles,
+            requests=completed,
             slo=self.slo,
             meta=meta,
-            telemetry=telemetry,
+            telemetry=metrics.telemetry,
         )

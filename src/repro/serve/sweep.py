@@ -1,18 +1,28 @@
-"""Serving sweep grids: arrival-rate studies through the parallel executor.
+"""Serving sweep grids: arrival-rate and fleet studies through the executor.
 
-A :class:`ServeSweepSpec` names a cartesian grid -- workloads x arrival
-processes x rates x schedulers x prefill chunks x policies -- and expands it
-into :class:`ServePoint` job descriptors.  ServePoints satisfy the same contract as
-:class:`~repro.sweep.spec.SweepPoint` (``key()`` / ``label`` / ``describe()`` /
-``config_dict()`` / ``execute()``), so they run through the existing
+A sweep spec names a cartesian grid of serving scenarios and expands it into
+:class:`ServingPoint` job descriptors.  :class:`ServeSweepSpec` sweeps
+workloads x arrival processes x rates x schedulers x prefill chunks x policies
+x KV budgets x KV blocks x preemptions; its cluster counterpart,
+:class:`~repro.cluster.sweep.ClusterSweepSpec`, adds replica counts and
+routers after the rate axis.  Both share one definition of the common axes,
+their validation, expansion and (de)serialization.
+
+ServingPoints satisfy the same contract as :class:`~repro.sweep.spec.
+SweepPoint` (``key()`` / ``label`` / ``describe()`` / ``config_dict()`` /
+``execute()``), so they run through the existing
 :func:`repro.sweep.executor.run_sweep` process pool and persist into the same
-JSON-lines :class:`~repro.sweep.store.ResultStore`, resumable and
-content-deduplicated exactly like kernel-level sweeps.
+JSON-lines :class:`~repro.sweep.store.ResultStore` under their scenario's
+``"serve"`` or ``"cluster"`` kind tag, resumable and content-deduplicated
+exactly like kernel-level sweeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import itertools
+import math
+from dataclasses import dataclass, field, fields, replace
+from typing import TYPE_CHECKING, ClassVar
 
 from repro.common.errors import ConfigError
 from repro.config.scale import ScaleTier, parse_tier
@@ -25,33 +35,36 @@ from repro.registry import (
     resolve_system,
 )
 from repro.serve.kvcache import DEFAULT_SWAP_MS
-from repro.serve.metrics import ServeMetrics
 from repro.serve.request import DEFAULT_OUTPUT_TOKENS, DEFAULT_PROMPT_TOKENS
-from repro.serve.scenario import DEFAULT_SCHEDULER, ServeScenario
+from repro.serve.scenario import DEFAULT_SCHEDULER, DEFAULT_SERVE_SYSTEM, ServeScenario
 from repro.serve.schedpolicy import DEFAULT_PREFILL_CHUNK
+
+if TYPE_CHECKING:
+    from repro.cluster.scenario import ClusterScenario
 
 
 @dataclass(frozen=True, slots=True)
-class ServePoint:
-    """One fully described serving job, executable in any worker process.
+class ServingPoint:
+    """One fully described serve or cluster job, executable in any worker.
 
     The scenario names its components through the registries, which every
-    worker can resolve (built-in arrival processes bootstrap on first lookup),
-    so the point pickles small and needs no pre-resolved configuration.
+    worker can resolve (built-in arrival processes and routers bootstrap on
+    first lookup), so the point pickles small and needs no pre-resolved
+    configuration.
     """
 
     label: str
-    scenario: ServeScenario
+    scenario: ServeScenario | ClusterScenario
     #: Sorted (axis, value) pairs locating the point in its grid.
     coords: tuple[tuple[str, object], ...] = ()
     #: Lazily memoized content hash.
     _key: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def config_dict(self) -> dict:
-        return {"kind": "serve", "scenario": self.scenario.config_dict()}
+        return {"kind": self.scenario.result_kind, "scenario": self.scenario.config_dict()}
 
     def key(self) -> str:
-        """Content hash identifying this serving simulation (labels excluded)."""
+        """Content hash identifying this simulation (labels excluded)."""
 
         if self._key is None:
             # Lazy memo of a derived field (compare=False): identity unchanged.
@@ -65,30 +78,49 @@ class ServePoint:
         return default
 
     def describe(self) -> str:
-        s = self.scenario
-        return (
-            f"{self.label}: serve {s.workload} {s.arrival}@{s.rate:g} "
-            f"{s.scheduler} n={s.num_requests} b<={s.max_batch} seed={s.seed}"
-        )
+        return f"{self.label}: {self.scenario.describe()}"
 
-    def execute(self) -> ServeMetrics:
-        """Run the serving simulation (the executor's worker entry point)."""
+    def execute(self):
+        """Run the simulation (the executor's worker entry point)."""
 
         return replace(self.scenario.run(), label=self.label)
 
 
-@dataclass(frozen=True, slots=True)
-class ServeSweepSpec:
-    """A declarative cartesian grid of serving points.
+def _plain(value):
+    """A spec field as JSON-able data (tuples become lists, tiers names)."""
 
-    Workloads, arrival processes, schedulers and policies are registry names;
-    ``rates`` is the traffic axis (requests/s open-loop, users closed-loop),
-    ``schedulers`` x ``prefill_chunks`` the prefill-scheduling axes and
-    ``kv_budgets`` x ``kv_blocks`` x ``preemptions`` the KV-memory axes (the
-    defaults keep KV accounting off).  Expansion order is workload -> arrival
-    -> rate -> scheduler -> chunk -> policy -> kv-budget -> kv-block ->
-    preemption.
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, ScaleTier):
+        return value.name
+    return value
+
+
+@dataclass(frozen=True, slots=True)
+class ServingSweepSpec:
+    """The grid axes and constants serve and cluster sweeps share.
+
+    Workloads, arrival processes, schedulers, policies and preemptions are
+    registry names; ``rates`` is the traffic axis (requests/s open-loop, users
+    closed-loop), ``schedulers`` x ``prefill_chunks`` the prefill-scheduling
+    axes and ``kv_budgets`` x ``kv_blocks`` x ``preemptions`` the KV-memory
+    axes (the defaults keep KV accounting off).  Every other field is applied
+    to every point.  Subclasses name their axes in :attr:`AXES` and build one
+    scenario per grid cell in :meth:`scenario`.
     """
+
+    #: (spec field, scenario field, plural noun), in expansion order.
+    AXES: ClassVar[tuple[tuple[str, str, str], ...]] = (
+        ("workloads", "workload", "workloads"),
+        ("arrivals", "arrival", "arrivals"),
+        ("rates", "rate", "rates"),
+        ("schedulers", "scheduler", "schedulers"),
+        ("prefill_chunks", "prefill_chunk", "chunks"),
+        ("policies", "policy", "policies"),
+        ("kv_budgets", "kv_budget", "KV budgets"),
+        ("kv_blocks", "kv_block", "KV blocks"),
+        ("preemptions", "preemption", "preemptions"),
+    )
 
     workloads: tuple[str, ...]
     rates: tuple[float, ...]
@@ -96,19 +128,12 @@ class ServeSweepSpec:
     schedulers: tuple[str, ...] = (DEFAULT_SCHEDULER,)
     prefill_chunks: tuple[int, ...] = (DEFAULT_PREFILL_CHUNK,)
     policies: tuple[str, ...] = ("unopt",)
-    #: KV-budget axis: token counts and/or "system"; (None,) keeps KV off.
-    kv_budgets: tuple[int | str | None, ...] = (None,)
-    #: Paged-KV block-size axis (tokens per block).
-    kv_blocks: tuple[int, ...] = (1,)
-    #: Preemption-policy axis (PREEMPTIONS registry names).
-    preemptions: tuple[str, ...] = ("recompute",)
-    #: One-way KV swap transfer latency (ms), applied to every point.
-    kv_swap_ms: float = DEFAULT_SWAP_MS
     num_requests: int = 32
     max_batch: int = 4
     seed: int = 0
     prefill_cost: bool = True
-    system: str = "table5"
+    #: System preset of every point (broadcast to every replica of a fleet).
+    system: str = DEFAULT_SERVE_SYSTEM
     tier: ScaleTier = ScaleTier.CI
     prompt_tokens: tuple[int, int] = DEFAULT_PROMPT_TOKENS
     output_tokens: tuple[int, int] = DEFAULT_OUTPUT_TOKENS
@@ -118,23 +143,29 @@ class ServeSweepSpec:
     #: Telemetry sampling cadence (simulated ms) applied to every point; None
     #: keeps sampling off and every point's content hash pre-telemetry.
     telemetry_ms: float | None = None
+    #: KV-budget axis: token counts and/or "system"; (None,) keeps KV off.
+    kv_budgets: tuple[int | str | None, ...] = (None,)
+    #: Paged-KV block-size axis (tokens per block).
+    kv_blocks: tuple[int, ...] = (1,)
+    #: Preemption-policy axis (PREEMPTIONS registry names).
+    preemptions: tuple[str, ...] = ("recompute",)
+    #: One-way KV swap transfer latency (ms), applied to every point.
+    kv_swap_ms: float = DEFAULT_SWAP_MS
 
-    def validate(self) -> "ServeSweepSpec":
-        for axis in ("workloads", "rates", "arrivals", "schedulers",
-                     "prefill_chunks", "policies", "kv_budgets", "kv_blocks",
-                     "preemptions"):
+    def validate(self):
+        for axis, _, _ in self.AXES:
             if not getattr(self, axis):
-                raise ConfigError(f"ServeSweepSpec.{axis} must be non-empty")
-        for workload in self.workloads:
-            WORKLOADS.get(workload)  # raises ConfigError listing known names
-        for arrival in self.arrivals:
-            ARRIVALS.get(arrival)
-        for scheduler in self.schedulers:
-            SCHEDULERS.get(scheduler)
+                raise ConfigError(f"{type(self).__name__}.{axis} must be non-empty")
+        for registry, names in (
+            (WORKLOADS, self.workloads),  # raises ConfigError listing known names
+            (ARRIVALS, self.arrivals),
+            (SCHEDULERS, self.schedulers),
+            (PREEMPTIONS, self.preemptions),
+        ):
+            for name in names:
+                registry.get(name)
         for policy in self.policies:
             resolve_policy(policy)
-        for preemption in self.preemptions:
-            PREEMPTIONS.get(preemption)
         for budget in self.kv_budgets:
             if budget is None or budget == "system":
                 continue
@@ -143,15 +174,12 @@ class ServeSweepSpec:
                     f'kv_budgets entries must be positive token counts, "system" '
                     f"or None, got {budget!r}"
                 )
-        if any(b <= 0 for b in self.kv_blocks):
-            raise ConfigError("kv_blocks must be positive")
+        for axis in ("rates", "prefill_chunks", "kv_blocks"):
+            if any(value <= 0 for value in getattr(self, axis)):
+                raise ConfigError(f"{axis} must be positive")
         if self.kv_swap_ms < 0:
             raise ConfigError("kv_swap_ms must be non-negative")
         resolve_system(self.system)
-        if any(r <= 0 for r in self.rates):
-            raise ConfigError("rates must be positive")
-        if any(c <= 0 for c in self.prefill_chunks):
-            raise ConfigError("prefill_chunks must be positive")
         if self.num_requests <= 0:
             raise ConfigError("num_requests must be positive")
         if self.max_batch <= 0:
@@ -162,71 +190,47 @@ class ServeSweepSpec:
 
     @property
     def num_points(self) -> int:
-        return (
-            len(self.workloads) * len(self.arrivals) * len(self.rates)
-            * len(self.schedulers) * len(self.prefill_chunks) * len(self.policies)
-            * len(self.kv_budgets) * len(self.kv_blocks) * len(self.preemptions)
-        )
+        return math.prod(len(getattr(self, axis)) for axis, _, _ in self.AXES)
 
-    def scenarios(self) -> tuple[ServeScenario, ...]:
-        """The grid as :class:`ServeScenario` objects, in expansion order."""
+    def scenario(self, **cell):
+        """The scenario of one grid cell (``cell`` maps scenario fields to
+        axis values)."""
+
+        raise NotImplementedError
+
+    def _constants(self) -> dict:
+        """The scenario fields every point shares (all but the axes and system)."""
+
+        axes = {axis for axis, _, _ in self.AXES}
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in axes and f.name != "system"
+        }
+
+    def scenarios(self) -> tuple:
+        """The grid as scenario objects, in expansion order."""
 
         self.validate()
+        names = [name for _, name, _ in self.AXES]
+        values = [getattr(self, axis) for axis, _, _ in self.AXES]
         return tuple(
-            ServeScenario(
-                workload=workload,
-                arrival=arrival,
-                rate=rate,
-                num_requests=self.num_requests,
-                max_batch=self.max_batch,
-                seed=self.seed,
-                policy=policy,
-                scheduler=scheduler,
-                prefill_chunk=chunk,
-                prefill_cost=self.prefill_cost,
-                system=self.system,
-                tier=self.tier,
-                prompt_tokens=self.prompt_tokens,
-                output_tokens=self.output_tokens,
-                slo_ttft_ms=self.slo_ttft_ms,
-                slo_latency_ms=self.slo_latency_ms,
-                max_cycles=self.max_cycles,
-                telemetry_ms=self.telemetry_ms,
-                kv_budget=kv_budget,
-                kv_block=kv_block,
-                preemption=preemption,
-                kv_swap_ms=self.kv_swap_ms,
-            )
-            for workload in self.workloads
-            for arrival in self.arrivals
-            for rate in self.rates
-            for scheduler in self.schedulers
-            for chunk in self.prefill_chunks
-            for policy in self.policies
-            for kv_budget in self.kv_budgets
-            for kv_block in self.kv_blocks
-            for preemption in self.preemptions
+            self.scenario(**dict(zip(names, cell, strict=True)))
+            for cell in itertools.product(*values)
         )
 
-    def expand(self) -> tuple[ServePoint, ...]:
+    def expand(self) -> tuple[ServingPoint, ...]:
         """Expand the grid into serving points, in deterministic order."""
 
         points = []
         for scenario in self.scenarios():
             coords = {
-                "model": scenario.workload,
-                "arrival": scenario.arrival,
-                "rate": scenario.rate,
-                "scheduler": scenario.scheduler,
-                "prefill_chunk": scenario.prefill_chunk,
-                "policy": scenario.policy,
-                "tier": scenario.tier.name,
-                "kv_budget": scenario.kv_budget,
-                "kv_block": scenario.kv_block,
-                "preemption": scenario.preemption,
+                "model" if name == "workload" else name: getattr(scenario, name)
+                for _, name, _ in self.AXES
             }
+            coords["tier"] = scenario.tier.name
             points.append(
-                ServePoint(
+                ServingPoint(
                     label=f"{scenario.display_label}@{scenario.rate:g}",
                     scenario=scenario,
                     coords=tuple(sorted(coords.items(), key=lambda kv: kv[0])),
@@ -236,54 +240,29 @@ class ServeSweepSpec:
 
     # -- (de)serialization for CLI spec files -------------------------------------------
     def to_dict(self) -> dict:
-        return {
-            "workloads": list(self.workloads),
-            "rates": list(self.rates),
-            "arrivals": list(self.arrivals),
-            "schedulers": list(self.schedulers),
-            "prefill_chunks": list(self.prefill_chunks),
-            "policies": list(self.policies),
-            "num_requests": self.num_requests,
-            "max_batch": self.max_batch,
-            "seed": self.seed,
-            "prefill_cost": self.prefill_cost,
-            "system": self.system,
-            "tier": self.tier.name,
-            "prompt_tokens": list(self.prompt_tokens),
-            "output_tokens": list(self.output_tokens),
-            "slo_ttft_ms": self.slo_ttft_ms,
-            "slo_latency_ms": self.slo_latency_ms,
-            "max_cycles": self.max_cycles,
-            "telemetry_ms": self.telemetry_ms,
-            "kv_budgets": list(self.kv_budgets),
-            "kv_blocks": list(self.kv_blocks),
-            "preemptions": list(self.preemptions),
-            "kv_swap_ms": self.kv_swap_ms,
-        }
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ServeSweepSpec":
-        return cls(
-            workloads=tuple(data["workloads"]),
-            rates=tuple(data["rates"]),
-            arrivals=tuple(data.get("arrivals", ("poisson",))),
-            schedulers=tuple(data.get("schedulers", (DEFAULT_SCHEDULER,))),
-            prefill_chunks=tuple(data.get("prefill_chunks", (DEFAULT_PREFILL_CHUNK,))),
-            policies=tuple(data.get("policies", ("unopt",))),
-            num_requests=data.get("num_requests", 32),
-            max_batch=data.get("max_batch", 4),
-            seed=data.get("seed", 0),
-            prefill_cost=data.get("prefill_cost", True),
-            system=data.get("system", "table5"),
-            tier=parse_tier(data.get("tier", "CI")),
-            prompt_tokens=tuple(data.get("prompt_tokens", DEFAULT_PROMPT_TOKENS)),
-            output_tokens=tuple(data.get("output_tokens", DEFAULT_OUTPUT_TOKENS)),
-            slo_ttft_ms=data.get("slo_ttft_ms"),
-            slo_latency_ms=data.get("slo_latency_ms"),
-            max_cycles=data.get("max_cycles"),
-            telemetry_ms=data.get("telemetry_ms"),
-            kv_budgets=tuple(data.get("kv_budgets", (None,))),
-            kv_blocks=tuple(data.get("kv_blocks", (1,))),
-            preemptions=tuple(data.get("preemptions", ("recompute",))),
-            kv_swap_ms=data.get("kv_swap_ms", DEFAULT_SWAP_MS),
-        ).validate()
+    def from_dict(cls, data: dict):
+        kwargs = {}
+        for f in fields(cls):
+            if f.name in data:
+                value = data[f.name]
+                if f.name == "tier":
+                    value = parse_tier(value)
+                elif isinstance(value, list):
+                    value = tuple(value)
+                kwargs[f.name] = value
+        return cls(**kwargs).validate()
+
+
+@dataclass(frozen=True, slots=True)
+class ServeSweepSpec(ServingSweepSpec):
+    """A declarative cartesian grid of single-accelerator serving points.
+
+    Expansion order is workload -> arrival -> rate -> scheduler -> chunk ->
+    policy -> kv-budget -> kv-block -> preemption.
+    """
+
+    def scenario(self, **cell) -> ServeScenario:
+        return ServeScenario(system=self.system, **self._constants(), **cell)

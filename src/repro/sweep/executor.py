@@ -4,7 +4,7 @@ Runs sweep-point jobs across a process pool.  A *point* is anything satisfying
 the small job contract -- ``key()`` (content hash), ``label``, ``describe()``,
 ``config_dict()`` and ``execute() -> result`` -- which today means kernel-level
 :class:`~repro.sweep.spec.SweepPoint` and request-level
-:class:`~repro.serve.sweep.ServePoint` jobs; the two kinds mix freely in one
+:class:`~repro.serve.sweep.ServingPoint` jobs; the kinds mix freely in one
 submission and one result store.  Each worker process keeps its own
 module-level trace cache (``repro.sim.runner``), so points that share a
 workload reuse the generated trace for free; jobs are submitted in the

@@ -5,7 +5,8 @@ Usage::
     PYTHONPATH=src python tests/golden/regen.py
 
 Rewrites every fixture in ``tests/golden/`` from the scenarios in
-:mod:`tests.golden.scenarios` and prints what changed.  Commit the updated
+:mod:`tests.golden.scenarios` -- the metrics dicts and the stdout snapshots of
+the CLI smoke commands -- and prints what changed.  Commit the updated
 fixtures together with the engine change that moved the numbers -- see
 CONTRIBUTING.md.
 """
@@ -18,17 +19,28 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1].parent))
 
-from tests.golden.scenarios import GOLDEN_SCENARIOS, canonical, fixture_path  # noqa: E402
+from tests.golden.scenarios import (  # noqa: E402
+    CLI_SNAPSHOTS,
+    GOLDEN_SCENARIOS,
+    canonical,
+    cli_stdout,
+    fixture_path,
+)
+
+
+def _write(path: Path, fresh: str) -> None:
+    stale = path.read_text() if path.exists() else None
+    path.write_text(fresh)
+    status = "unchanged" if fresh == stale else ("updated" if stale else "created")
+    print(f"{path}: {status}")
 
 
 def main() -> int:
     for name, run in GOLDEN_SCENARIOS.items():
-        path = fixture_path(name)
         fresh = canonical(run().to_dict())
-        stale = json.loads(path.read_text()) if path.exists() else None
-        path.write_text(json.dumps(fresh, indent=2, sort_keys=True) + "\n")
-        status = "unchanged" if fresh == stale else ("updated" if stale else "created")
-        print(f"{path}: {status}")
+        _write(fixture_path(name), json.dumps(fresh, indent=2, sort_keys=True) + "\n")
+    for name, argv in CLI_SNAPSHOTS.items():
+        _write(fixture_path(name), cli_stdout(argv))
     return 0
 
 

@@ -13,6 +13,8 @@ and commit the updated fixtures together with the change that moved them.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -32,6 +34,33 @@ GOLDEN_SCENARIOS = {
         lambda: golden_cluster_disaggregated_scenario().run()
     ),
 }
+
+
+#: snapshot file name -> ``llamcat`` argv whose stdout the snapshot pins
+#: byte for byte (the smoke commands CI runs).
+CLI_SNAPSHOTS = {
+    "cli_serve_smoke.txt": ["serve", "--smoke", "--seed", "0"],
+    "cli_serve_chunked_smoke.txt": [
+        "serve", "--smoke", "--seed", "0", "--scheduler", "chunked",
+    ],
+    "cli_cluster_smoke.txt": ["cluster", "--smoke", "--seed", "0"],
+    "cli_cluster_disaggregated_smoke.txt": [
+        "cluster", "--smoke", "--seed", "0", "--disaggregated",
+    ],
+}
+
+
+def cli_stdout(argv: list[str]) -> str:
+    """Run ``llamcat <argv>`` in-process and return what it printed to stdout."""
+
+    from repro.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(argv)
+    if status != 0:
+        raise RuntimeError(f"llamcat {' '.join(argv)} exited {status}")
+    return out.getvalue()
 
 
 def golden_serve_scenario() -> ServeScenario:

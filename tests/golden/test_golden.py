@@ -12,7 +12,13 @@ import json
 
 import pytest
 
-from tests.golden.scenarios import GOLDEN_SCENARIOS, canonical, fixture_path
+from tests.golden.scenarios import (
+    CLI_SNAPSHOTS,
+    GOLDEN_SCENARIOS,
+    canonical,
+    cli_stdout,
+    fixture_path,
+)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SCENARIOS))
@@ -60,3 +66,15 @@ def test_golden_fixtures_are_canonical_json():
     for name in GOLDEN_SCENARIOS:
         text = fixture_path(name).read_text()
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(CLI_SNAPSHOTS))
+def test_cli_smoke_stdout_matches_snapshot_byte_for_byte(name):
+    """The printed smoke report is pinned too, not just the metrics dict."""
+
+    path = fixture_path(name)
+    assert path.exists(), (
+        f"CLI snapshot {path} is missing; generate it with "
+        f"`PYTHONPATH=src python tests/golden/regen.py`"
+    )
+    assert cli_stdout(CLI_SNAPSHOTS[name]) == path.read_text()

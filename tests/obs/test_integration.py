@@ -119,6 +119,15 @@ class TestServeTelemetry:
         aggregate_util = busy_from_cycles / metrics.duration_s
         assert sampled_util == pytest.approx(aggregate_util, rel=0.05)
 
+    def test_queue_depth_counts_only_arrived_requests(self):
+        """A sampled queue can only hold requests that have already arrived."""
+
+        metrics = serve_scenario(telemetry_ms=0.05).run()
+        arrivals = [r.arrival_s for r in metrics.requests]
+        for sample in metrics.telemetry.samples:
+            arrived = sum(1 for t in arrivals if t <= sample.t_s)
+            assert sample.queue_depth <= arrived, sample
+
     def test_telemetry_ms_changes_content_hash_only_when_set(self):
         base = serve_scenario()
         assert "telemetry_ms" not in base.to_dict()

@@ -116,9 +116,9 @@ class TestMixedKinds:
     @pytest.fixture()
     def serve_point(self):
         from repro.serve.scenario import ServeScenario
-        from repro.serve.sweep import ServePoint
+        from repro.serve.sweep import ServingPoint
 
-        return ServePoint(
+        return ServingPoint(
             label="serve-pt",
             scenario=ServeScenario(workload="llama3-70b", rate=100.0, num_requests=2),
         )
@@ -135,9 +135,9 @@ class TestMixedKinds:
     @pytest.fixture()
     def cluster_point(self):
         from repro.cluster.scenario import ClusterScenario
-        from repro.cluster.sweep import ClusterPoint
+        from repro.serve.sweep import ServingPoint
 
-        return ClusterPoint(
+        return ServingPoint(
             label="cluster-pt",
             scenario=ClusterScenario(workload="llama3-70b", rate=100.0, num_requests=2),
         )
