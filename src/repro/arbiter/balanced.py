@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Container
+
 from repro.arbiter.base import BaseArbiter
 from repro.common.fifo import BoundedFifo
 from repro.common.types import MemRequest
@@ -18,11 +20,11 @@ class BalancedArbiter(BaseArbiter):
     name = "balanced"
 
     def select(
-        self, queue: BoundedFifo[MemRequest], mshr_lines: set[int], cycle: int
+        self, queue: BoundedFifo[MemRequest], mshr_lines: Container[int], cycle: int
     ) -> int:
         counters = self.progress_counters
         best_index = 0
-        best_count = counters[queue.peek(0).core_id]
+        best_count = counters[queue[0].core_id]
         for i, req in enumerate(queue):
             count = counters[req.core_id]
             if count < best_count:

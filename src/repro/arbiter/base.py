@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass, field
 
 from repro.common.fifo import BoundedFifo
@@ -46,12 +47,14 @@ class BaseArbiter:
 
     # -- request selection -----------------------------------------------------------
     def select(
-        self, queue: BoundedFifo[MemRequest], mshr_lines: set[int], cycle: int
+        self, queue: BoundedFifo[MemRequest], mshr_lines: Container[int], cycle: int
     ) -> int:
         """Return the index (0 = oldest) of the request to serve this cycle.
 
         ``queue`` is guaranteed non-empty by the caller.  ``mshr_lines`` is the
-        real-time MSHR snapshot (line addresses with an open entry).
+        real-time MSHR snapshot (line addresses with an open entry).  It is a
+        live view of the slice's MSHR file, not a copy: it is valid only
+        during the call and must not be kept or mutated.
         """
 
         return 0

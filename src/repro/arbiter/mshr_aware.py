@@ -15,6 +15,8 @@ overlaps the DRAM access already in flight.
 
 from __future__ import annotations
 
+from collections.abc import Container
+
 from repro.arbiter.base import BaseArbiter
 from repro.arbiter.speculation import HitBuffer, SentReqs
 from repro.common.fifo import BoundedFifo
@@ -46,7 +48,7 @@ class MshrAwareArbiter(BaseArbiter):
         self._last_speculation: dict[int, int] = {}
 
     # -- selection -------------------------------------------------------------------
-    def _rank(self, req: MemRequest, mshr_view: set[int]) -> int:
+    def _rank(self, req: MemRequest, mshr_view: Container[int]) -> int:
         if self.hit_buffer.contains(req.line_addr):
             return 0
         if req.line_addr in mshr_view:
@@ -54,31 +56,42 @@ class MshrAwareArbiter(BaseArbiter):
         return 2
 
     def select(
-        self, queue: BoundedFifo[MemRequest], mshr_lines: set[int], cycle: int
+        self, queue: BoundedFifo[MemRequest], mshr_lines: Container[int], cycle: int
     ) -> int:
-        # Step 1 of Fig 5: combine the real-time MSHR snapshot with the
-        # not-yet-visible sent requests (masked by their speculated-hit bits).
-        mshr_view = mshr_lines | self.sent_reqs.pending_mshr_lines(cycle)
+        # Step 1 of Fig 5: the MSHR view is the real-time MSHR snapshot plus
+        # the not-yet-visible sent requests (masked by their speculated-hit
+        # bits).  Both are live views; a line is ranked against each in turn
+        # (the rule of ``_rank``, inlined: this loop runs per queued request).
+        sent = self.sent_reqs
+        sent.expire(cycle)
+        in_flight = sent.mshr_lines
+        hits = self.hit_buffer.counts
+        balanced = self.balanced_tiebreak
+        counters = self.progress_counters
 
         best_index = 0
         best_rank = 3
         best_counter = 0
-        counters = self.progress_counters
         for i, req in enumerate(queue):
-            rank = self._rank(req, mshr_view)
+            line = req.line_addr
+            if line in hits:
+                rank = 0
+            elif line in mshr_lines or line in in_flight:
+                rank = 1
+            else:
+                rank = 2
             if rank < best_rank:
                 best_rank = rank
                 best_index = i
                 best_counter = counters[req.core_id]
-                if rank == 0 and not self.balanced_tiebreak:
+                if rank == 0 and not balanced:
                     break  # FIFO tie-break: the first rank-0 request wins
-            elif rank == best_rank and self.balanced_tiebreak:
+            elif rank == best_rank and balanced:
                 counter = counters[req.core_id]
                 if counter < best_counter:
                     best_counter = counter
                     best_index = i
-        chosen = queue.peek(best_index)
-        self._last_speculation[chosen.req_id] = best_rank
+        self._last_speculation[queue[best_index].req_id] = best_rank
         return best_index
 
     def notify_selected(self, req: MemRequest, cycle: int) -> None:
@@ -87,7 +100,8 @@ class MshrAwareArbiter(BaseArbiter):
         if rank is None:
             # The request was selected without a prior ``select`` call (e.g. the
             # queue had a single element); recompute the speculation.
-            rank = self._rank(req, self.sent_reqs.pending_mshr_lines(cycle))
+            self.sent_reqs.expire(cycle)
+            rank = self._rank(req, self.sent_reqs.mshr_lines)
         speculated_hit = rank == 0
         if speculated_hit:
             self.stats.predicted_hits += 1
@@ -102,7 +116,6 @@ class MshrAwareArbiter(BaseArbiter):
         self.hit_buffer.record_hit(line_addr)
 
     def notify_outcome(self, req: MemRequest, was_hit: bool, was_mshr_hit: bool) -> None:
-        rank = None
         # Outcome accounting is best-effort: speculation entries are popped on
         # selection, so only track aggregate accuracy via hit buffer contents.
         predicted_hit = self.hit_buffer.contains(req.line_addr)
@@ -110,7 +123,6 @@ class MshrAwareArbiter(BaseArbiter):
             self.stats.prediction_correct += 1
         else:
             self.stats.prediction_wrong += 1
-        del rank
 
 
 class BalancedMshrAwareArbiter(MshrAwareArbiter):

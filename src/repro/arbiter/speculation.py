@@ -15,53 +15,54 @@ before the actual cache / MSHR lookup:
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from dataclasses import dataclass
+from collections import deque
 
 
 class HitBuffer:
     """FIFO of line addresses of recent cache hits, with O(1) membership."""
 
-    __slots__ = ("capacity", "_fifo", "_counts", "insertions")
+    __slots__ = ("capacity", "_fifo", "counts", "insertions")
 
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError("HitBuffer capacity must be positive")
         self.capacity = capacity
         self._fifo: deque[int] = deque()
-        self._counts: Counter[int] = Counter()
+        #: line address -> copies in the FIFO; a line is present iff it is a key.
+        self.counts: dict[int, int] = {}
         self.insertions = 0
 
     def record_hit(self, line_addr: int) -> None:
         """Record a newly determined cache hit, evicting the oldest if full."""
 
+        counts = self.counts
         if len(self._fifo) >= self.capacity:
             old = self._fifo.popleft()
-            self._counts[old] -= 1
-            if self._counts[old] <= 0:
-                del self._counts[old]
+            left = counts[old] - 1
+            if left:
+                counts[old] = left
+            else:
+                del counts[old]
         self._fifo.append(line_addr)
-        self._counts[line_addr] += 1
+        counts[line_addr] = counts.get(line_addr, 0) + 1
         self.insertions += 1
 
     def contains(self, line_addr: int) -> bool:
-        return self._counts.get(line_addr, 0) > 0
+        return line_addr in self.counts
 
     def __len__(self) -> int:
         return len(self._fifo)
 
 
-@dataclass(slots=True)
-class _SentEntry:
-    line_addr: int
-    speculated_hit: bool
-    expiry_cycle: int
-
-
 class SentReqs:
-    """FIFO of recently selected requests, visible until the MSHR catches up."""
+    """FIFO of recently selected requests, visible until the MSHR catches up.
 
-    __slots__ = ("capacity", "lifetime", "_fifo")
+    ``mshr_lines`` maps the line of every unexpired entry whose speculated-hit
+    bit is clear to the number of such entries; it is kept up to date as
+    entries are recorded and dropped, so readers need not rebuild it.
+    """
+
+    __slots__ = ("capacity", "lifetime", "_fifo", "mshr_lines")
 
     def __init__(self, capacity: int, lifetime: int) -> None:
         if capacity <= 0:
@@ -70,24 +71,37 @@ class SentReqs:
             raise ValueError("SentReqs lifetime must be positive")
         self.capacity = capacity
         self.lifetime = lifetime
-        self._fifo: deque[_SentEntry] = deque()
+        #: (expiry_cycle, line_addr, speculated_hit), oldest first.
+        self._fifo: deque[tuple[int, int, bool]] = deque()
+        self.mshr_lines: dict[int, int] = {}
 
     def record(self, line_addr: int, speculated_hit: bool, cycle: int) -> None:
         """Record a selected request; it stays visible for ``lifetime`` cycles."""
 
         self.expire(cycle)
         if len(self._fifo) >= self.capacity:
-            self._fifo.popleft()
-        self._fifo.append(
-            _SentEntry(line_addr, speculated_hit, cycle + self.lifetime)
-        )
+            self._drop_oldest()
+        self._fifo.append((cycle + self.lifetime, line_addr, speculated_hit))
+        if not speculated_hit:
+            lines = self.mshr_lines
+            lines[line_addr] = lines.get(line_addr, 0) + 1
 
     def expire(self, cycle: int) -> None:
         """Drop entries whose MSHR-visibility window has elapsed."""
 
         fifo = self._fifo
-        while fifo and fifo[0].expiry_cycle <= cycle:
-            fifo.popleft()
+        while fifo and fifo[0][0] <= cycle:
+            self._drop_oldest()
+
+    def _drop_oldest(self) -> None:
+        _, line_addr, speculated_hit = self._fifo.popleft()
+        if not speculated_hit:
+            lines = self.mshr_lines
+            left = lines[line_addr] - 1
+            if left:
+                lines[line_addr] = left
+            else:
+                del lines[line_addr]
 
     def pending_mshr_lines(self, cycle: int) -> set[int]:
         """Lines of in-flight requests that will occupy MSHR entries.
@@ -97,7 +111,7 @@ class SentReqs:
         """
 
         self.expire(cycle)
-        return {e.line_addr for e in self._fifo if not e.speculated_hit}
+        return set(self.mshr_lines)
 
     def __len__(self) -> int:
         return len(self._fifo)

@@ -40,6 +40,8 @@ class DramChannel:
     #: min-heap of (complete_cycle, sequence, transaction) for in-flight accesses.
     in_flight: list[tuple[int, int, DramTransaction]] = field(default_factory=list)
     _seq: int = 0
+    #: Accesses allowed in flight at once: enough to hide the worst-case latency.
+    pipeline_depth: int = field(init=False)
 
     # statistics
     reads: int = 0
@@ -53,6 +55,8 @@ class DramChannel:
 
     def __post_init__(self) -> None:
         self.banks = BankArray(num_ranks=self.num_ranks, num_banks=self.num_banks)
+        timing = self.timing
+        self.pipeline_depth = max(4, -(-timing.row_conflict_latency // timing.tBURST) + 1)
 
     # -- queue management ---------------------------------------------------------
     @property
@@ -68,19 +72,6 @@ class DramChannel:
             return False
         self.queue.append(txn)
         return True
-
-    def next_event_cycle(self) -> int | None:
-        """Earliest cycle at which this channel needs to be ticked again."""
-
-        candidates = []
-        if self.in_flight:
-            candidates.append(self.in_flight[0][0])
-        if self.queue:
-            # A queued transaction can potentially issue as soon as the bus frees.
-            candidates.append(self.bus_free_cycle)
-        if not candidates:
-            return None
-        return min(candidates)
 
     # -- scheduling ------------------------------------------------------------------
     def _pick_fr_fcfs(self, cycle: int) -> int:
@@ -108,17 +99,11 @@ class DramChannel:
         # so that column/activate latencies fully overlap with earlier data
         # bursts (keeping the data bus at peak utilisation) while still leaving
         # most of the backlog in the queue where FR-FCFS can reorder it.
-        if self.queue and len(self.in_flight) < self._pipeline_depth():
+        if self.queue and len(self.in_flight) < self.pipeline_depth:
             idx = self._pick_fr_fcfs(cycle)
             txn = self.queue.pop(idx)
             self._issue(txn, cycle)
         return completed
-
-    def _pipeline_depth(self) -> int:
-        """Number of overlapping accesses needed to hide the worst-case latency."""
-
-        timing = self.timing
-        return max(4, -(-timing.row_conflict_latency // timing.tBURST) + 1)
 
     def _issue(self, txn: DramTransaction, cycle: int) -> None:
         timing = self.timing

@@ -103,17 +103,12 @@ class DramSystem:
 
         completed: list[tuple[Any, int, bool]] = []
         for channel in self.channels:
-            if channel.has_work:
+            if channel.queue or channel.in_flight:
                 completed.extend(channel.tick(cycle))
         return completed
 
     def has_work(self) -> bool:
         return any(channel.has_work for channel in self.channels)
-
-    def next_event_cycle(self) -> int | None:
-        events = [c.next_event_cycle() for c in self.channels]
-        events = [e for e in events if e is not None]
-        return min(events) if events else None
 
     # -- statistics --------------------------------------------------------------------
     def stats(self) -> DramStats:

@@ -100,11 +100,19 @@ class SlicedLLC:
     # -- per-cycle ---------------------------------------------------------------------
     def tick(self, cycle: int) -> None:
         for llc_slice in self.slices:
-            llc_slice.tick(cycle)
+            # Sleeping slices would repeat an idle or MSHR-stalled tick (see LLCSlice).
+            if not llc_slice.asleep:
+                llc_slice.tick(cycle)
 
     # -- throttling-controller interfaces -----------------------------------------------
-    def stall_cycles_total(self) -> int:
-        return sum(s.stall_cycles for s in self.slices)
+    def stall_cycles_total(self, cycle: int) -> int:
+        """Cache-stall cycles of every slice, settled through ``cycle - 1``."""
+
+        total = 0
+        for llc_slice in self.slices:
+            llc_slice.settle(cycle)
+            total += llc_slice.stall_cycles
+        return total
 
     def progress_by_core(self) -> list[int]:
         """Per-core served-request counts summed over all slice arbiters."""
@@ -124,6 +132,8 @@ class SlicedLLC:
         return any(s.outstanding_work for s in self.slices)
 
     def stats(self, final_cycle: int) -> LLCStats:
+        for llc_slice in self.slices:
+            llc_slice.settle(final_cycle)
         mshr_util = safe_div(
             sum(s.mshr.utilization(final_cycle) for s in self.slices), len(self.slices)
         )

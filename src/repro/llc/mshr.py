@@ -9,6 +9,7 @@ numEntry occupancy) as a first-order performance indicator (Fig 8).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.common.errors import SimulationError
@@ -102,7 +103,13 @@ class MshrFile:
     def pending_lines(self) -> set[int]:
         """The MSHR_snapshot of §4.3: the set of line addresses currently pending."""
 
-        return set(self._entries.keys())
+        return set(self._entries)
+
+    def live_lines(self) -> Mapping[int, MshrEntry]:
+        """The MSHR_snapshot as a live view, without a copy: line address ->
+        open entry, changing with every reservation and release."""
+
+        return self._entries
 
     def reserve(self, req: MemRequest, cycle: int) -> str:
         """Attempt a reservation for ``req``; returns the outcome.

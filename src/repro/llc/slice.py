@@ -19,6 +19,23 @@ DRAM returns (step 4/4') are pushed in by the simulator via
 :meth:`LLCSlice.on_dram_fill`: the MSHR entry is freed, every merged requester
 receives its data directly (it does not wait behind the response queue), and a
 copy enters the response queue for the later storage fill.
+
+**Sleeping.**  Two kinds of tick repeat themselves exactly until an event
+from outside the slice, so the slice goes to sleep and
+:class:`~repro.llc.llc.SlicedLLC` stops ticking it:
+
+* a tick with no work at all (every queue and stage empty): the slice sleeps
+  until :meth:`LLCSlice.accept_request` or :meth:`LLCSlice.on_dram_fill`;
+* a tick that stalled on an MSHR reservation and left the response queue,
+  the pending fills and the DRAM backlog empty: every later tick would retry
+  the same failed reservation, so the slice sleeps until
+  :meth:`LLCSlice.on_dram_fill`, the only event that frees an MSHR entry.
+  An arriving request does not wake it: a stalled slice serves no requests.
+
+The cycles a stalled slice sleeps through are credited to ``stall_cycles``,
+``busy_cycles`` and the MSHR's failure counter lazily and exactly by
+:meth:`LLCSlice.settle`, which every reader of those counters calls first.
+A sleeping slice that is ticked directly wakes first.
 """
 
 from __future__ import annotations
@@ -29,7 +46,7 @@ from typing import Callable
 from repro.arbiter.base import BaseArbiter
 from repro.common.address import AddressMap
 from repro.common.fifo import BoundedFifo
-from repro.common.types import MemRequest, MemResponse
+from repro.common.types import AccessType, MemRequest, MemResponse
 from repro.config.system import L2Config, ReqRespArbitration
 from repro.llc.mshr import MshrFile
 from repro.llc.storage import CacheStorage
@@ -78,7 +95,21 @@ class LLCSlice:
         self._mshr_pipeline_limit = (
             config.hit_latency + config.mshr_latency + _PIPELINE_DEPTH_SLACK
         )
+        self._mshr_lines = self.mshr.live_lines()
+        self._hit_response_latency = config.hit_latency + config.data_latency
+        self._miss_stage_latency = config.hit_latency + config.mshr_latency
+        self._response_first = (
+            config.req_resp_arbitration == ReqRespArbitration.RESPONSE_FIRST
+        )
         self.stalled = False
+
+        # -- sleep state -------------------------------------------------------------------
+        #: True while the LLC may skip this slice's ticks.
+        self.asleep = False
+        #: First stalled cycle not yet credited to the counters (-1: none pending).
+        self._sleep_from = -1
+        #: The slept-on reservation fails for want of target slots (else entries).
+        self._sleep_on_targets = False
 
         # -- statistics ---------------------------------------------------------------
         self.hits = 0
@@ -105,6 +136,8 @@ class LLCSlice:
         req.arrive_cycle = cycle
         if self.request_queue.push(req):
             self.requests_accepted += 1
+            if not self.stalled:
+                self.asleep = False
             return True
         self.requests_rejected += 1
         return False
@@ -112,6 +145,7 @@ class LLCSlice:
     def on_dram_fill(self, line_addr: int, cycle: int) -> None:
         """A DRAM read for ``line_addr`` returned (Fig 4, steps 4 and 4')."""
 
+        self.asleep = False
         entry = self.mshr.free(line_addr, cycle)
         dirty = False
         for target in entry.targets:
@@ -136,75 +170,118 @@ class LLCSlice:
         self.last_activity_cycle = cycle
 
     # ------------------------------------------------------------------------------
+    # sleep / settle
+    # ------------------------------------------------------------------------------
+    def settle(self, cycle: int) -> None:
+        """Credit the counters with the stalled cycles slept before ``cycle``.
+
+        A no-op unless the slice slept on an MSHR stall.  Readers of
+        ``stall_cycles``, ``busy_cycles`` or the MSHR failure counters call
+        this first: the throttle controllers with ``cycle + 1`` (the slices
+        already ticked this cycle), result collection with the run's cycle
+        count.
+        """
+
+        start = self._sleep_from
+        if start < 0 or cycle <= start:
+            return
+        skipped = cycle - start
+        self._sleep_from = cycle
+        self.stall_cycles += skipped
+        self.busy_cycles += skipped
+        if self._sleep_on_targets:
+            self.mshr.merge_failures_full_targets += skipped
+        else:
+            self.mshr.alloc_failures_full_entries += skipped
+
+    def _sleep_stalled(self, cycle: int) -> None:
+        self.asleep = True
+        self._sleep_from = cycle + 1
+        self._sleep_on_targets = self._mshr_stage[0][1].line_addr in self._mshr_lines
+
+    # ------------------------------------------------------------------------------
     # per-cycle pipeline
     # ------------------------------------------------------------------------------
     def tick(self, cycle: int) -> None:
-        if not self._has_cycle_work():
-            return
-        self.busy_cycles += 1
-
-        self._drain_dram_backlog(cycle)
-        self._drain_pending_fills()
-
-        # MSHR action stage runs independently of the storage port.
-        self._mshr_action(cycle)
-
-        serve_response = self._arbitrate_port()
-        if serve_response:
-            self._process_fill(cycle)
-        elif not self.stalled:
-            self._process_request(cycle)
-
-    def _has_cycle_work(self) -> bool:
-        return bool(
-            self.request_queue
-            or self.response_queue
+        if self._sleep_from >= 0:
+            # Woken from a stalled sleep (or ticked directly while asleep).
+            self.settle(cycle)
+            self._sleep_from = -1
+            self.asleep = False
+        request_queue = self.request_queue
+        response_queue = self.response_queue
+        if not (
+            request_queue
+            or response_queue
             or self._mshr_stage
             or self._pending_fills
             or self._dram_backlog
             or self.stalled
-        )
+        ):
+            # Nothing to do until a request or a DRAM fill arrives.
+            self.asleep = True
+            return
+        self.busy_cycles += 1
+
+        if self._dram_backlog:
+            self._drain_dram_backlog(cycle)
+        if self._pending_fills:
+            self._drain_pending_fills()
+
+        # MSHR action stage runs independently of the storage port.
+        if self._mshr_stage:
+            self._mshr_action(cycle)
+        else:
+            self.stalled = False
+
+        if response_queue and self._arbitrate_port():
+            self._process_fill(cycle)
+        elif self.stalled:
+            if not (response_queue or self._pending_fills or self._dram_backlog):
+                # Each later tick would retry the same failed reservation.
+                self._sleep_stalled(cycle)
+        elif request_queue:
+            self._process_request(cycle)
 
     # -- stage helpers ------------------------------------------------------------------
     def _arbitrate_port(self) -> bool:
-        """Decide whether the storage port serves a response fill this cycle."""
+        """Decide whether the storage port serves a response fill this cycle
+        (the caller checked that the response queue holds one)."""
 
-        has_response = bool(self.response_queue)
-        has_request = bool(self.request_queue) and not self.stalled
-        if not has_response:
-            return False
+        response_queue = self.response_queue
+        request_queue = self.request_queue
         override = self.arbiter.arbitrate_port(
-            len(self.response_queue), self.response_queue.capacity, len(self.request_queue)
+            len(response_queue), response_queue.capacity, len(request_queue)
         )
         if override is not None:
-            return override and has_response
-        if self.config.req_resp_arbitration == ReqRespArbitration.RESPONSE_FIRST:
+            return override
+        if self._response_first:
             return True
         # REQUEST_FIRST: responses only get the port when the response queue is
         # full or there is no request to serve.
-        return self.response_queue.full or not has_request
+        return (
+            len(response_queue) >= response_queue.capacity
+            or not request_queue
+            or self.stalled
+        )
 
     def _process_request(self, cycle: int) -> None:
-        if not self.request_queue:
-            return
         if len(self._mshr_stage) >= self._mshr_pipeline_limit:
             # The miss pipeline is backed up; lookups cannot proceed.
             return
-        index = self.arbiter.select(
-            self.request_queue, self.mshr.pending_lines(), cycle
-        )
+        arbiter = self.arbiter
+        index = arbiter.select(self.request_queue, self._mshr_lines, cycle)
         req = self.request_queue.pop_index(index)
-        self.arbiter.notify_selected(req, cycle)
+        arbiter.notify_selected(req, cycle)
         self.last_activity_cycle = cycle
 
-        hit = self.storage.lookup(req.line_addr)
-        if hit:
+        if self.storage.lookup(req.line_addr):
             self.hits += 1
-            self.arbiter.notify_hit(req.line_addr, cycle)
-            self.arbiter.notify_outcome(req, True, False)
-            if req.is_write:
+            arbiter.notify_hit(req.line_addr, cycle)
+            arbiter.notify_outcome(req, True, False)
+            if req.rw == AccessType.WRITE:
                 self.storage.mark_dirty(req.line_addr)
-            latency = self.config.hit_latency + self.config.data_latency
+            latency = self._hit_response_latency
             self.response_sink(
                 MemResponse(
                     req_id=req.req_id,
@@ -220,14 +297,9 @@ class LLCSlice:
             )
         else:
             self.misses += 1
-            due = cycle + self.config.hit_latency + self.config.mshr_latency
-            self._mshr_stage.append((due, req))
+            self._mshr_stage.append((cycle + self._miss_stage_latency, req))
 
     def _mshr_action(self, cycle: int) -> None:
-        if not self._mshr_stage:
-            if self.stalled:
-                self.stalled = False
-            return
         due, req = self._mshr_stage[0]
         if due > cycle and not self.stalled:
             return
@@ -248,8 +320,6 @@ class LLCSlice:
             self._send_dram(req.line_addr, is_write=False, cycle=cycle)
 
     def _process_fill(self, cycle: int) -> None:
-        if not self.response_queue:
-            return
         line_addr, dirty = self.response_queue.pop()
         self.fills_written += 1
         self.last_activity_cycle = cycle

@@ -7,11 +7,16 @@ stalls cores), and (3) the response path back to the cores.  Responses are
 delivered with a fixed latency and are never back-pressured, matching the
 paper's assumption that DRAM returns are forwarded straight to the requesting
 cores (Fig 4, step 4').
+
+Simulated time only moves forward, so no priority queue is needed: requests
+share one latency and wait in a single FIFO, and responses wait in one FIFO
+lane per extra delay, each ordered by delivery cycle.  Due responses of
+several lanes are merged in (delivery cycle, send order), which is exact also
+when latencies are 0 or ticks skip cycles.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from typing import Callable
 
@@ -41,8 +46,12 @@ class Interconnect:
         self.num_cores = num_cores
         self.num_slices = num_slices
 
-        self._req_in_flight: list[tuple[int, int, int, MemRequest]] = []  # (cycle, seq, slice, req)
-        self._resp_in_flight: list[tuple[int, int, MemResponse]] = []     # (cycle, seq, resp)
+        self._request_latency = config.request_latency
+        self._response_latency = config.response_latency
+        #: (deliver cycle, slice, request), in send order.
+        self._req_in_flight: deque[tuple[int, int, MemRequest]] = deque()
+        #: extra delay -> (deliver cycle, send sequence, response), in send order.
+        self._resp_lanes: dict[int, deque[tuple[int, int, MemResponse]]] = {}
         self._staging: list[deque[MemRequest]] = [deque() for _ in range(num_slices)]
         # Requests in transit or staged per slice, used for O(1) back-pressure checks.
         self._slice_load: list[int] = [0] * num_slices
@@ -77,10 +86,8 @@ class Interconnect:
         if self._slice_load[slice_id] >= self._slice_load_limit:
             self.backpressure_rejects += 1
             return False
-        deliver = cycle + self.config.request_latency
-        heapq.heappush(self._req_in_flight, (deliver, self._seq, slice_id, req))
+        self._req_in_flight.append((cycle + self._request_latency, slice_id, req))
         self._slice_load[slice_id] += 1
-        self._seq += 1
         self.requests_sent += 1
         return True
 
@@ -94,8 +101,10 @@ class Interconnect:
     def send_response(self, resp: MemResponse, cycle: int, extra_delay: int = 0) -> None:
         """Send a response back to its core after the NoC response latency."""
 
-        deliver = cycle + self.config.response_latency + extra_delay
-        heapq.heappush(self._resp_in_flight, (deliver, self._seq, resp))
+        lane = self._resp_lanes.get(extra_delay)
+        if lane is None:
+            lane = self._resp_lanes[extra_delay] = deque()
+        lane.append((cycle + self._response_latency + extra_delay, self._seq, resp))
         self._seq += 1
         self.responses_sent += 1
 
@@ -114,17 +123,20 @@ class Interconnect:
         """
 
         # Requests whose transit delay elapsed move into the staging queues.
-        while self._req_in_flight and self._req_in_flight[0][0] <= cycle:
-            _, _, slice_id, req = heapq.heappop(self._req_in_flight)
-            self._staging[slice_id].append(req)
+        in_flight = self._req_in_flight
+        stagings = self._staging
+        while in_flight and in_flight[0][0] <= cycle:
+            _, slice_id, req = in_flight.popleft()
+            stagings[slice_id].append(req)
 
         # Each slice port accepts a limited number of staged requests per cycle.
-        for slice_id, staging in enumerate(self._staging):
+        width = self.config.slice_port_width
+        for slice_id, staging in enumerate(stagings):
             if not staging:
                 continue
             accepted = 0
             sink = slice_sinks[slice_id]
-            while staging and accepted < self.config.slice_port_width:
+            while staging and accepted < width:
                 req = staging[0]
                 if not sink(req, cycle):
                     break
@@ -139,8 +151,12 @@ class Interconnect:
                     waiters.clear()
 
         # Responses are never back-pressured.
-        while self._resp_in_flight and self._resp_in_flight[0][0] <= cycle:
-            _, _, resp = heapq.heappop(self._resp_in_flight)
+        due: list[tuple[int, int, MemResponse]] = []
+        for lane in self._resp_lanes.values():
+            while lane and lane[0][0] <= cycle:
+                due.append(lane.popleft())
+        due.sort()  # merge the lanes by (deliver, seq); the sequence is unique
+        for _, _, resp in due:
             core_sinks[resp.core_id](resp, cycle)
 
     # -- engine support ----------------------------------------------------------------------
@@ -150,11 +166,15 @@ class Interconnect:
 
     @property
     def in_flight_responses(self) -> int:
-        return len(self._resp_in_flight)
+        return sum(len(lane) for lane in self._resp_lanes.values())
 
     @property
     def staged_requests(self) -> int:
         return sum(len(staging) for staging in self._staging)
 
     def has_work(self) -> bool:
-        return bool(self._req_in_flight or self._resp_in_flight) or any(self._staging)
+        return (
+            bool(self._req_in_flight)
+            or any(self._resp_lanes.values())
+            or any(self._staging)
+        )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.common.types import MemResponse
+from repro.common.address import AddressMap
 from repro.config.policies import PolicyConfig
 from repro.config.system import SystemConfig
 from repro.cores.core import VectorCore
@@ -21,7 +21,8 @@ class SimulatedSystem:
     The wiring follows Fig 3/4: cores issue through their private L1 into the
     interconnect; the interconnect feeds the per-slice request queues; slices
     talk to DRAM; DRAM fills free MSHR entries and fan out responses straight
-    back to the requesting cores through the interconnect.
+    back to the requesting cores through the interconnect (the slices send
+    them with :meth:`Interconnect.send_response` directly).
     """
 
     def __init__(
@@ -40,18 +41,20 @@ class SimulatedSystem:
         self.dram = DramSystem(
             system.dram, system.frequency_ghz, line_size=system.l2.line_size
         )
+        self.noc = Interconnect(
+            config=system.noc,
+            address_map=AddressMap(
+                line_size=system.l2.line_size, num_slices=system.l2.num_slices
+            ),
+            num_cores=system.core.num_cores,
+            num_slices=system.l2.num_slices,
+        )
         self.llc = SlicedLLC(
             config=system.l2,
             policy=policy,
             num_cores=system.core.num_cores,
-            response_sink=self._response_sink,
+            response_sink=self.noc.send_response,
             dram_sink=self._dram_sink,
-        )
-        self.noc = Interconnect(
-            config=system.noc,
-            address_map=self.llc.address_map,
-            num_cores=system.core.num_cores,
-            num_slices=system.l2.num_slices,
         )
         self.scheduler = ThreadBlockScheduler(trace)
         self.cores = [
@@ -72,9 +75,6 @@ class SimulatedSystem:
         self._core_sinks = [core.receive for core in self.cores]
 
     # -- component glue ------------------------------------------------------------------
-    def _response_sink(self, resp: MemResponse, cycle: int, extra_delay: int) -> None:
-        self.noc.send_response(resp, cycle, extra_delay)
-
     def _dram_sink(self, line_addr: int, is_write: bool, slice_id: int) -> bool:
         return self.dram.enqueue(line_addr, is_write, payload=slice_id, cycle=self.cycle)
 

@@ -53,7 +53,8 @@ class DynMgController(ThrottleController):
     def _global_sample(self, cycle: int) -> None:
         assert self.llc is not None
         self.samples += 1
-        stall_total = self.llc.stall_cycles_total()
+        # The slices already ticked this cycle.
+        stall_total = self.llc.stall_cycles_total(cycle + 1)
         stall_delta = stall_total - self._last_stall_total
         self._last_stall_total = stall_total
         window = self.params.sampling_period * max(1, self.num_slices)

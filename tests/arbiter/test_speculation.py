@@ -1,6 +1,9 @@
 """Tests for the hit_buffer and sent_reqs speculation structures (§4.3.1)."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.arbiter.speculation import HitBuffer, SentReqs
 
@@ -75,3 +78,41 @@ class TestSentReqs:
             SentReqs(0, 5)
         with pytest.raises(ValueError):
             SentReqs(4, 0)
+
+
+@given(
+    capacity=st.integers(1, 6),
+    lifetime=st.integers(1, 10),
+    ops=st.lists(
+        st.tuples(
+            st.integers(0, 3),              # cycles to advance
+            st.booleans(),                  # record (else only expire)
+            st.integers(0, 4),              # line index
+            st.booleans(),                  # speculated hit
+        ),
+        max_size=60,
+    ),
+)
+def test_property_incremental_view_equals_rebuilt_set(capacity, lifetime, ops):
+    """The incremental line -> count view always equals the set (and the
+    multiset) rebuilt from the unexpired, non-speculated-hit entries."""
+
+    sent = SentReqs(capacity=capacity, lifetime=lifetime)
+    model: list[tuple[int, int, bool]] = []   # (expiry, line, speculated_hit)
+    cycle = 0
+    for advance, record, line_index, speculated_hit in ops:
+        cycle += advance
+        line = 0x40 * line_index
+        model = [e for e in model if e[0] > cycle]
+        if record:
+            sent.record(line, speculated_hit, cycle)
+            if len(model) >= capacity:
+                model.pop(0)
+            model.append((cycle + lifetime, line, speculated_hit))
+        else:
+            sent.expire(cycle)
+        rebuilt = {line for _, line, hit in model if not hit}
+        assert set(sent.mshr_lines) == rebuilt
+        assert sent.pending_mshr_lines(cycle) == rebuilt
+        assert sent.mshr_lines == Counter(line for _, line, hit in model if not hit)
+        assert len(sent) == len(model)
